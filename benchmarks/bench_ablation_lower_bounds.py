@@ -30,12 +30,7 @@ _rows: dict[tuple[str, str], list[object]] = {}
 
 def _run_onex(dataset: str, use_lower_bounds: bool) -> float:
     context = get_context(dataset)
-    # Scalar path: the batch scan changes candidate *ordering* along
-    # with pruning when lower bounds toggle, which would confound the
-    # ablation (same reason bench_ablation_rep_ordering pins it).
-    processor = context.make_processor(
-        use_lower_bounds=use_lower_bounds, use_batch_kernels=False
-    )
+    processor = context.make_processor(use_lower_bounds=use_lower_bounds)
     durations = []
     for query in context.workload.queries:
         started = time.perf_counter()

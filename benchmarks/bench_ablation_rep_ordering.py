@@ -24,10 +24,10 @@ _rows: dict[tuple[str, str], list[object]] = {}
 
 def _run(dataset: str, median_ordering: bool) -> list[object]:
     context = get_context(dataset)
-    # Scalar path: with batch kernels + lower bounds the scan is
-    # lower-bound-ordered, which would mask the ordering ablation.
+    # Lower bounds off: with them on the scan is lower-bound-ordered,
+    # which would mask the ordering ablation.
     processor = context.make_processor(
-        median_ordering=median_ordering, use_batch_kernels=False
+        median_ordering=median_ordering, use_lower_bounds=False
     )
     durations = []
     full_dtw = 0
@@ -68,7 +68,7 @@ def test_ablation_rep_ordering(benchmark, dataset: str, ordering: str) -> None:
 
     context = get_context(dataset)
     processor = context.make_processor(
-        median_ordering=median, use_batch_kernels=False
+        median_ordering=median, use_lower_bounds=False
     )
     query = context.workload.queries[0]
     benchmark.pedantic(

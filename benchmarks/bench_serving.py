@@ -1,11 +1,11 @@
-"""Serving-layer throughput: grouped ``query_batch`` vs the per-query loop.
+"""Serving-layer throughput: ``query_batch`` vs the per-query ``query`` loop.
 
 The ISSUE-4 tentpole claims:
 
 * Length-grouped batch execution — stacked representative scans
   (:func:`~repro.distances.batch.dtw_pairs` over every (query,
   representative) pair of a length group) plus thread-pool refinement —
-  is at least 2x the throughput of the sequential per-query loop on a
+  is at least 2x the throughput of the per-query ``index.query`` loop on a
   machine with >= 4 usable cores, with **bit-identical** matches. The
   identity contract is asserted unconditionally; the wall-clock
   contract is core-count-gated exactly like ``bench_parallel_build``
@@ -55,7 +55,7 @@ def _register() -> None:
     if _rows:
         registry.add_table(
             "serving_throughput",
-            f"Serving layer: grouped query_batch vs sequential loop "
+            f"Serving layer: query_batch vs per-query loop "
             f"(ECG-style, {N_SERIES} series x {SERIES_LENGTH}, "
             f"{N_QUERIES} queries, {_CORES} cores)",
             ["mode", "seconds", "queries/s", "vs sequential"],
@@ -112,16 +112,17 @@ def _assert_identical(batch_a, batch_b) -> None:
 
 
 def test_grouped_batch_speedup_and_identity(index, queries) -> None:
+    def loop():
+        return [index.query(query) for query in queries]
+
     # Hydrate the lazy payloads with one full sequential pass so both
     # timed modes run fully warm — the (first-timed) sequential side
     # must not absorb first-touch payload construction.
-    index.query_batch(queries, grouped=False)
+    loop()
 
-    sequential_seconds, sequential = _best_time(
-        lambda: index.query_batch(queries, grouped=False)
-    )
+    sequential_seconds, sequential = _best_time(loop)
     grouped_seconds, grouped = _best_time(
-        lambda: index.query_batch(queries, grouped=True, max_workers=N_WORKERS)
+        lambda: index.query_batch(queries, max_workers=N_WORKERS)
     )
     speedup = sequential_seconds / grouped_seconds
 

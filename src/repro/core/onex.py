@@ -76,7 +76,6 @@ class OnexIndex:
         value_range: tuple[float, float],
         build_seconds: float = 0.0,
         group_search_width: int | None = None,
-        use_batch_kernels: bool = True,
         assign_mode: str = "sequential",
         build_profile: list[dict] | None = None,
         build_backend: str = "numpy",
@@ -103,7 +102,6 @@ class OnexIndex:
             st=self.st,
             window=window,
             group_search_width=group_search_width,
-            use_batch_kernels=use_batch_kernels,
         )
 
     # ------------------------------------------------------------------
@@ -121,7 +119,6 @@ class OnexIndex:
         normalize: bool = True,
         group_search_width: int | None = None,
         grouping: str = "incremental",
-        use_batch_kernels: bool = True,
         assign_mode: str = "sequential",
         n_jobs: int | None = None,
         progress: "callable | None" = None,
@@ -159,11 +156,6 @@ class OnexIndex:
             Algorithm 1, default) or ``"kmeans"`` (radius-constrained
             k-means; the tech report's alternative-clustering avenue —
             see :mod:`repro.core.grouping_kmeans`).
-        use_batch_kernels:
-            Answer queries through the vectorized batch distance
-            kernels (default; see :mod:`repro.distances.batch`). The
-            batch path is exact — disable only for the scalar reference
-            path.
         assign_mode:
             Construction-engine assignment strategy:  ``"sequential"``
             (bit-identical to Algorithm 1, default) or ``"minibatch"``
@@ -315,7 +307,6 @@ class OnexIndex:
             value_range=value_range,
             build_seconds=build_seconds,
             group_search_width=group_search_width,
-            use_batch_kernels=use_batch_kernels,
             assign_mode=assign_mode,
             build_profile=build_profile,
             build_backend=build_backend,
@@ -361,44 +352,29 @@ class OnexIndex:
         k: int = 1,
         normalized: bool = True,
         stop_at_half_st: bool = True,
-        grouped: bool = True,
         max_workers: int | None = None,
     ) -> list[list[Match]]:
         """Answer a batch of Q1 queries; one match list per query.
 
         Bit-identical to calling :meth:`query` once per element (same
-        matches, same order), but executed as a real batch when
-        ``grouped`` is set (the default, requires the batch-kernel
-        path): queries are grouped by resolved length, each group's
-        representative scan runs as stacked batch kernels over every
-        (query, representative) pair at once, and the per-group
-        refinements fan out across ``max_workers`` threads (see
-        :mod:`repro.serve.batch`). ``grouped=False`` falls back to the
-        sequential per-query loop, which still amortizes the lazily
-        built bucket payloads across the batch.
+        matches, same order), but executed as a real batch: queries are
+        grouped by resolved length, each group's representative scan
+        runs as stacked batch kernels over every (query,
+        representative) pair at once, and the per-group refinements fan
+        out across ``max_workers`` threads (see
+        :mod:`repro.serve.batch`).
         """
-        if grouped and self.processor.use_batch_kernels:
-            from repro.serve.batch import execute_batch
+        from repro.serve.batch import execute_batch
 
-            return execute_batch(
-                self,
-                queries,
-                length=length,
-                k=k,
-                normalized=normalized,
-                stop_at_half_st=stop_at_half_st,
-                max_workers=max_workers,
-            )
-        return [
-            self.query(
-                query,
-                length=length,
-                k=k,
-                normalized=normalized,
-                stop_at_half_st=stop_at_half_st,
-            )
-            for query in queries
-        ]
+        return execute_batch(
+            self,
+            queries,
+            length=length,
+            k=k,
+            normalized=normalized,
+            stop_at_half_st=stop_at_half_st,
+            max_workers=max_workers,
+        )
 
     def within(
         self,
@@ -470,7 +446,6 @@ class OnexIndex:
             value_range=self.value_range,
             build_seconds=self.build_seconds,
             group_search_width=self.processor.group_search_width,
-            use_batch_kernels=self.processor.use_batch_kernels,
             assign_mode=self.assign_mode,
             build_profile=self.build_profile,
             build_backend=self.build_backend,

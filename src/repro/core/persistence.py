@@ -165,7 +165,6 @@ def _collect_index(
         "value_range": list(index.value_range),
         "build_seconds": index.build_seconds,
         "group_search_width": index.processor.group_search_width,
-        "use_batch_kernels": index.processor.use_batch_kernels,
         "assign_mode": index.assign_mode,
         "build_profile": index.build_profile,
         "build_backend": index.build_backend,
@@ -399,8 +398,6 @@ def _build_index(
         value_range=tuple(manifest["value_range"]),
         build_seconds=float(manifest.get("build_seconds", 0.0)),
         group_search_width=None if width is None else int(width),
-        # Absent in pre-batch-kernel saves: default to the batch path.
-        use_batch_kernels=bool(manifest.get("use_batch_kernels", True)),
         assign_mode=str(manifest.get("assign_mode", "sequential")),
         build_profile=manifest.get("build_profile") or [],
         # Absent in pre-build-kernel saves: the engine was numpy-only.

@@ -14,7 +14,6 @@ group is within ``ST``.
 
 from __future__ import annotations
 
-import bisect
 import dataclasses
 import heapq
 import math
@@ -33,14 +32,12 @@ from repro.distances.batch import (
     dtw_batch,
     dtw_pairs,
     lb_keogh_batch,
-    lb_keogh_reverse_batch,
     lb_keogh_reverse_stacked,
     lb_kim_batch,
     lb_kim_stacked,
     sliding_minmax,
 )
 from repro.distances.dtw import dtw, resolve_window
-from repro.distances.lower_bounds import lb_keogh, lb_kim
 from repro.exceptions import QueryError
 from repro.utils.validation import as_float_array
 
@@ -65,7 +62,7 @@ class QueryStats:
     reps_abandoned: int = 0
     rep_dtw_full: int = 0
     members_examined: int = 0
-    members_pruned_lb: int = 0  # batch path only: LB-rejected before any DP
+    members_pruned_lb: int = 0  # LB-rejected before any DP
     members_abandoned: int = 0
     lengths_visited: int = 0
     cascade_kim: int = 0
@@ -148,23 +145,14 @@ class QueryProcessor:
         Toggle LB_Kim / LB_Keogh pruning of representatives (ablation).
     median_ordering:
         Scan representatives in the §5.3 median-sum-out order instead of
-        storage order (ablation).
+        storage order (ablation). Only observable with
+        ``use_lower_bounds=False``: with lower bounds on, the scan
+        visits candidates in ascending lower-bound order instead.
     n_probe:
         Extension beyond the paper: search the ``n_probe`` groups with
         the closest representatives instead of only the single best one.
         ``1`` (the default) is the paper's behaviour; larger values
         trade time for accuracy (see ``bench_ablation_nprobe``).
-    use_batch_kernels:
-        Run the representative scan and in-group search through the
-        vectorized batch kernels of :mod:`repro.distances.batch`
-        (default). The batch cascade is exact — it returns the same
-        matches as the scalar path — and is what makes the scan fast on
-        wide buckets; disable for the scalar reference path (ablation
-        and ``bench_batch_kernels``). Note that with lower bounds
-        enabled the batch scan orders candidates by their lower bound,
-        superseding ``median_ordering``; the median-ordering ablation
-        therefore requires either ``use_lower_bounds=False`` or the
-        scalar path.
     """
 
     def __init__(
@@ -177,7 +165,6 @@ class QueryProcessor:
         use_lower_bounds: bool = True,
         median_ordering: bool = True,
         n_probe: int = 1,
-        use_batch_kernels: bool = True,
     ) -> None:
         if n_probe < 1:
             raise QueryError(f"n_probe must be >= 1, got {n_probe}")
@@ -189,7 +176,6 @@ class QueryProcessor:
         self.use_lower_bounds = use_lower_bounds
         self.median_ordering = median_ordering
         self.n_probe = int(n_probe)
-        self.use_batch_kernels = bool(use_batch_kernels)
         # Per-thread work counters: the serving layer fans queries over
         # a thread pool, and shared counters would race (and misreport
         # any single query's work). Each thread observes its own stats.
@@ -245,40 +231,10 @@ class QueryProcessor:
         self.last_stats = QueryStats()
         if k < 1:
             raise QueryError(f"k must be >= 1, got {k}")
-
-        if length is not None:
-            bucket = self.rspace.bucket(int(length))
-            self.last_stats.lengths_visited = 1
-            scans = self._scan_representatives(bucket, query, math.inf)
-            if not scans:
-                raise QueryError(
-                    f"no representative of length {length} reachable; "
-                    "widen the DTW window"
-                )
-            return self.search_groups(bucket, scans, query, k)
-
-        best_bucket: LengthBucket | None = None
-        best_scans: list[_RepScan] = []
-        for candidate_length in self.rspace.search_length_order(query.shape[0]):
-            bucket = self.rspace.bucket(candidate_length)
-            self.last_stats.lengths_visited += 1
-            bound = (
-                math.inf if not best_scans else best_scans[0].dtw_normalized
-            )
-            scans = self._scan_representatives(bucket, query, bound)
-            if not scans:
-                continue
-            if (
-                not best_scans
-                or scans[0].dtw_normalized < best_scans[0].dtw_normalized
-            ):
-                best_bucket, best_scans = bucket, scans
-            if stop_at_half_st and scans[0].dtw_normalized <= self.st / 2.0:
-                self.last_stats.stopped_at_half_st = True
-                break
-        if best_bucket is None or not best_scans:
-            raise QueryError("no representative reachable; widen the DTW window")
-        return self.search_groups(best_bucket, best_scans, query, k)
+        ((bucket, scans),) = self.assign_buckets_stacked(
+            query[None, :], length=length, stop_at_half_st=stop_at_half_st
+        )
+        return self.search_groups(bucket, scans, query, k)
 
     def scan_length(self, length: int, query: np.ndarray) -> list[_RepScan]:
         """Representative scan of one length with an open (infinite) bound.
@@ -303,7 +259,7 @@ class QueryProcessor:
         self.last_stats = QueryStats()
         bucket = self.rspace.bucket(int(length))
         self.last_stats.lengths_visited = 1
-        return self._scan_representatives(bucket, query, math.inf)
+        return self.scan_representatives_stacked(bucket, query[None, :])[0]
 
     def refine_scans(
         self,
@@ -442,211 +398,32 @@ class QueryProcessor:
             return bucket.median_out_order()
         return iter(range(bucket.n_groups))
 
-    def _scan_representatives(
-        self, bucket: LengthBucket, query: np.ndarray, bound_normalized: float
-    ) -> list[_RepScan]:
-        """Find the ``n_probe`` representatives closest to the query (§5.2).
-
-        ``bound_normalized`` seeds the best-so-far from previously visited
-        lengths so pruning carries across lengths. Returns the qualifying
-        scans sorted by distance (empty when nothing beats the bound).
-        With ``n_probe == 1`` the pruning threshold is the running best;
-        with more probes it is the running ``n_probe``-th best.
-        """
-        if self.use_batch_kernels:
-            return self._scan_representatives_batch(bucket, query, bound_normalized)
-        stats = self.last_stats
-        denominator = 2.0 * max(query.shape[0], bucket.length)
-        same_length = query.shape[0] == bucket.length
-        query_radius = resolve_window(query.shape[0], bucket.length, self.window)
-        seed_raw = (
-            math.inf
-            if math.isinf(bound_normalized)
-            else bound_normalized * denominator
-        )
-        # Max-heap (negated) of the n_probe best (raw distance, index).
-        top: list[tuple[float, int]] = []
-
-        def prune_bound() -> float:
-            if len(top) == self.n_probe:
-                return min(seed_raw, -top[0][0])
-            return seed_raw
-
-        for group_index in self._rep_order(bucket):
-            group = bucket.groups[group_index]
-            representative = group.representative
-            stats.reps_examined += 1
-            bound = prune_bound()
-            if self.use_lower_bounds and bound < math.inf:
-                if lb_kim(query, representative) >= bound:
-                    stats.reps_pruned_lb += 1
-                    stats.cascade_kim += 1
-                    continue
-                # The stored envelope is only admissible when its radius
-                # covers the band the online DTW uses.
-                env = group.rep_envelope
-                if (
-                    same_length
-                    and env.radius >= query_radius
-                    and lb_keogh(query, env) >= bound
-                ):
-                    stats.reps_pruned_lb += 1
-                    stats.cascade_keogh_reverse += 1
-                    continue
-            distance = dtw(
-                query,
-                representative,
-                window=self.window,
-                abandon_above=bound if bound < math.inf else None,
-            )
-            if distance == math.inf:
-                stats.reps_abandoned += 1
-                stats.cascade_dtw_abandon += 1
-                continue
-            stats.rep_dtw_full += 1
-            if distance < prune_bound() or len(top) < self.n_probe:
-                if len(top) == self.n_probe:
-                    heapq.heapreplace(top, (-distance, group_index))
-                else:
-                    heapq.heappush(top, (-distance, group_index))
-        scans = [
-            _RepScan(
-                group_index=index,
-                dtw_raw=-negated,
-                dtw_normalized=-negated / denominator,
-            )
-            for negated, index in top
-            if -negated <= seed_raw
-        ]
-        scans.sort(key=lambda scan: scan.dtw_raw)
-        return scans
-
-    def _scan_representatives_batch(
-        self, bucket: LengthBucket, query: np.ndarray, bound_normalized: float
-    ) -> list[_RepScan]:
-        """Batch-kernel twin of :meth:`_scan_representatives`.
-
-        The whole representative stack goes through the vectorized
-        cascade at once: LB_Kim and (same-length) reversed LB_Keogh over
-        the full stack, then chunked batch DTW over the survivors in
-        ascending lower-bound order so early chunks tighten the shared
-        early-abandon bound for later ones. Exact: returns the same
-        probes as the scalar scan.
-        """
-        stats = self.last_stats
-        denominator = 2.0 * max(query.shape[0], bucket.length)
-        same_length = query.shape[0] == bucket.length
-        radius = resolve_window(query.shape[0], bucket.length, self.window)
-        seed_raw = (
-            math.inf
-            if math.isinf(bound_normalized)
-            else bound_normalized * denominator
-        )
-        reps = bucket.representatives_matrix
-        n_groups = reps.shape[0]
-        stats.reps_examined += n_groups
-
-        if self.use_lower_bounds:
-            # Admissible per-representative lower bound: LB_Kim, maxed
-            # with the reversed LB_Keogh (query vs representative
-            # envelope) when the lengths match. Sorting by it puts
-            # likely-best representatives in the opening chunk, which
-            # supersedes the scalar path's median-out ordering.
-            kim_bounds = lb_kim_batch(query, reps)
-            lower_bounds = kim_bounds
-            if same_length:
-                stack = bucket.rep_envelope_stack(radius)
-                lower_bounds = np.maximum(
-                    kim_bounds, lb_keogh_reverse_batch(query, stack)
-                )
-            candidates = np.argsort(lower_bounds, kind="stable")
-            if math.isfinite(seed_raw):
-                keep = lower_bounds[candidates] < seed_raw
-                stats.reps_pruned_lb += int(n_groups - keep.sum())
-                _attribute_lb_prunes(
-                    stats, kim_bounds[candidates[~keep]], seed_raw, reverse=True
-                )
-                candidates = candidates[keep]
-        else:
-            # Lower bounds disabled (ablation): keep the scalar path's
-            # scan order so median_ordering stays meaningful here too.
-            lower_bounds = None
-            candidates = np.fromiter(
-                self._rep_order(bucket), dtype=np.intp, count=n_groups
-            )
-
-        # Max-heap (negated) of the n_probe best (raw distance, index).
-        top: list[tuple[float, int]] = []
-
-        def prune_bound() -> float:
-            if len(top) == self.n_probe:
-                return min(seed_raw, -top[0][0])
-            return seed_raw
-
-        start = 0
-        for size in chunk_sizes(len(candidates)):
-            chunk = candidates[start : start + size]
-            start += size
-            bound = prune_bound()
-            if lower_bounds is not None and math.isfinite(bound):
-                keep = lower_bounds[chunk] < bound
-                stats.reps_pruned_lb += int(len(chunk) - keep.sum())
-                _attribute_lb_prunes(
-                    stats, kim_bounds[chunk[~keep]], bound, reverse=True
-                )
-                chunk = chunk[keep]
-                if not len(chunk):
-                    continue
-            distances = dtw_batch(
-                query,
-                reps[chunk],
-                radius,
-                abandon_above=bound if math.isfinite(bound) else None,
-            )
-            for group_index, distance in zip(
-                chunk.tolist(), distances.tolist(), strict=True
-            ):
-                if distance == math.inf:
-                    stats.reps_abandoned += 1
-                    stats.cascade_dtw_abandon += 1
-                    continue
-                stats.rep_dtw_full += 1
-                if distance < prune_bound() or len(top) < self.n_probe:
-                    if len(top) == self.n_probe:
-                        heapq.heapreplace(top, (-distance, group_index))
-                    else:
-                        heapq.heappush(top, (-distance, group_index))
-        scans = [
-            _RepScan(
-                group_index=index,
-                dtw_raw=-negated,
-                dtw_normalized=-negated / denominator,
-            )
-            for negated, index in top
-            if -negated <= seed_raw
-        ]
-        scans.sort(key=lambda scan: scan.dtw_raw)
-        return scans
-
     def scan_representatives_stacked(
         self,
         bucket: LengthBucket,
         queries: np.ndarray,
         bounds_normalized: np.ndarray | None = None,
     ) -> list[list[_RepScan]]:
-        """Representative scan for a whole stack of equal-length queries.
+        """Find each query's ``n_probe`` closest representatives (§5.2).
 
-        The serving layer's batch executor groups incoming queries by
-        length and runs this instead of Q separate scans: the lower
-        bounds of every ``(query, representative)`` pair are computed as
-        one stacked matrix, and the surviving pairs advance through one
-        :func:`~repro.distances.batch.dtw_pairs` DP per chunk stage, so
-        the Python-level DP loop is paid per *stage* instead of per
-        query. Exact: query ``q`` receives precisely the scans
-        ``_scan_representatives(bucket, queries[q],
-        bounds_normalized[q])`` would return — each query keeps its own
-        candidate order, its own prune bound, and its own chunk
-        schedule; only the arithmetic is fused.
+        The one representative scan: a single query is a one-row stack,
+        the batch executor passes every query of one length at once.
+        ``bounds_normalized[q]`` seeds query ``q``'s best-so-far from
+        previously visited lengths so pruning carries across lengths;
+        its scans come back sorted by distance (empty when nothing
+        beats the bound). The prune threshold is the running
+        ``n_probe``-th best.
+
+        Per query the cascade is LB_Kim maxed with (same-length)
+        reversed LB_Keogh over the whole representative stack, then
+        chunked DTW over the survivors in ascending lower-bound order
+        so early chunks tighten the early-abandon bound for later ones.
+        Across queries only the arithmetic is fused — the lower bounds
+        are one stacked matrix and each chunk stage is one
+        :func:`~repro.distances.batch.dtw_pairs` DP over every query's
+        current chunk — while each query keeps its own candidate order,
+        prune bound and chunk schedule, so a row's scans do not depend
+        on which other rows share its stack.
         """
         queries = np.asarray(queries, dtype=np.float64)
         if queries.ndim != 2 or queries.shape[1] == 0:
@@ -788,21 +565,16 @@ class QueryProcessor:
         length: int | None = None,
         stop_at_half_st: bool = True,
     ) -> "list[tuple[LengthBucket, list[_RepScan]]]":
-        """The group-selection half of :meth:`best_match`, for a whole
-        stack of equal-length queries at once.
+        """Select each query's bucket and probe scans (§5.3 length sweep).
 
-        Returns, per query, the selected bucket plus its representative
-        scans — exactly what :meth:`best_match` would feed
-        :meth:`search_groups`. ``length`` pins every query to one
-        bucket (``Match = Exact``); ``None`` runs the §5.3 length sweep
-        with each query carrying its own best-so-far bound across
+        Returns, per row of the equal-length ``queries`` stack, the
+        selected bucket plus its representative scans — what
+        :meth:`search_groups` refines. ``length`` pins every query to
+        one bucket (``Match = Exact``); ``None`` runs the §5.3 length
+        sweep with each query carrying its own best-so-far bound across
         lengths and (with ``stop_at_half_st``) leaving the sweep at the
-        first representative within ``ST/2``, exactly like the
-        per-query path — queries that are done simply drop out of the
-        stacked scans of the remaining lengths. This method is the
-        single owner of the sweep semantics for both the per-query and
-        the batched executor; keep it in lockstep with
-        :meth:`best_match` above.
+        first representative within ``ST/2`` — queries that are done
+        simply drop out of the stacked scans of the remaining lengths.
         """
         queries = np.asarray(queries, dtype=np.float64)
         n_queries = queries.shape[0]
@@ -886,8 +658,9 @@ class QueryProcessor:
 
         Members are visited outward from the position where the stored
         (normalized) ED-to-representative equals the query→representative
-        normalized DTW — the §5.3 in-group ordering — with each DTW call
-        early-abandoned at the current k-th best. The representative
+        normalized DTW — the §5.3 in-group ordering — in chunks of
+        ``BATCH_CHUNK``, each chunk's DTW batch early-abandoned at the
+        current k-th best. The representative
         distance is the one the scan already computed (``scan.dtw_raw``),
         not a fresh DTW.
         """
@@ -897,7 +670,7 @@ class QueryProcessor:
         target = scan.dtw_raw / denominator
 
         keys = group.normalized_ed_to_rep()
-        start = bisect.bisect_left(keys.tolist(), target)
+        start = int(np.searchsorted(keys, target, side="left"))
         order = list(_alternate_outward(start, len(keys)))
         if self.group_search_width is not None:
             order = order[: max(k, self.group_search_width)]
@@ -922,94 +695,72 @@ class QueryProcessor:
                 del results[evicted]
                 results[member_index] = match
 
-        if self.use_batch_kernels:
-            radius = resolve_window(query.shape[0], bucket.length, self.window)
-            order_array = np.asarray(order, dtype=np.intp)
-            if len(order) < group.count:
-                # group_search_width truncated the visit list: gather
-                # only the needed rows.
-                if group.member_rows is not None and bucket.store_view is not None:
-                    ordered_values = bucket.store_view.values(
-                        group.member_rows[order_array]
-                    )
-                else:
-                    ordered_values = np.stack(
-                        [
-                            self.dataset.subsequence(group.member_ids[index])
-                            for index in order
-                        ]
-                    )
+        radius = resolve_window(query.shape[0], bucket.length, self.window)
+        order_array = np.asarray(order, dtype=np.intp)
+        if len(order) < group.count:
+            # group_search_width truncated the visit list: gather only the
+            # needed rows.
+            if group.member_rows is not None and bucket.store_view is not None:
+                ordered_values = bucket.store_view.values(
+                    group.member_rows[order_array]
+                )
             else:
-                members = bucket.member_matrix(group_index, self.dataset)
-                ordered_values = members[order_array]
-            # The LSI outward order puts likely-best members in the first
-            # chunk, so later chunks run against a tight k-th-best bound.
-            # For those chunks, admissible per-member lower bounds
-            # (LB_Kim maxed with LB_Keogh against the query envelope when
-            # lengths match) prune without touching the DP; computing
-            # them is only worth it when a second chunk exists.
-            member_bounds = None
-            member_kim = None
-            if self.use_lower_bounds and order_array.size > BATCH_CHUNK:
-                tail = ordered_values[BATCH_CHUNK:]
-                tail_kim = lb_kim_batch(query, tail)
-                tail_bounds = tail_kim
-                if query.shape[0] == bucket.length:
-                    env_lower, env_upper = sliding_minmax(query, radius)
-                    tail_bounds = np.maximum(
-                        tail_kim, lb_keogh_batch(tail, env_lower, env_upper)
-                    )
-                head = np.zeros(BATCH_CHUNK)
-                member_bounds = np.concatenate([head, tail_bounds])
-                member_kim = np.concatenate([head, tail_kim])
-            for start in range(0, order_array.size, BATCH_CHUNK):
-                positions = np.arange(
-                    start, min(start + BATCH_CHUNK, order_array.size)
+                ordered_values = np.stack(
+                    [
+                        self.dataset.subsequence(group.member_ids[index])
+                        for index in order
+                    ]
                 )
-                stats.members_examined += positions.size
-                abandon = -heap[0][0] if len(heap) == k else math.inf
-                if member_bounds is not None and math.isfinite(abandon):
-                    keep = member_bounds[positions] < abandon
-                    stats.members_pruned_lb += int(positions.size - keep.sum())
-                    _attribute_lb_prunes(
-                        stats, member_kim[positions[~keep]], abandon, reverse=False
-                    )
-                    positions = positions[keep]
-                    if not positions.size:
-                        continue
-                distances = dtw_batch(
-                    query,
-                    ordered_values[positions],
-                    radius,
-                    abandon_above=abandon if math.isfinite(abandon) else None,
+        else:
+            members = bucket.member_matrix(group_index, self.dataset)
+            ordered_values = members[order_array]
+        # The LSI outward order puts likely-best members in the first chunk,
+        # so later chunks run against a tight k-th-best bound. For those
+        # chunks, admissible per-member lower bounds (LB_Kim maxed with
+        # LB_Keogh against the query envelope when lengths match) prune
+        # without touching the DP; computing them is only worth it when a
+        # second chunk exists.
+        member_bounds = None
+        member_kim = None
+        if self.use_lower_bounds and order_array.size > BATCH_CHUNK:
+            tail = ordered_values[BATCH_CHUNK:]
+            tail_kim = lb_kim_batch(query, tail)
+            tail_bounds = tail_kim
+            if query.shape[0] == bucket.length:
+                env_lower, env_upper = sliding_minmax(query, radius)
+                tail_bounds = np.maximum(
+                    tail_kim, lb_keogh_batch(tail, env_lower, env_upper)
                 )
-                for position, raw in zip(
-                    positions.tolist(), distances.tolist(), strict=True
-                ):
-                    if raw == math.inf:
-                        stats.members_abandoned += 1
-                        stats.cascade_dtw_abandon += 1
-                        continue
-                    admit(
-                        int(order_array[position]), raw, ordered_values[position]
-                    )
-            return sorted(results.values())
-
-        for member_index in order:
-            values = self.dataset.subsequence(group.member_ids[member_index])
-            stats.members_examined += 1
+            head = np.zeros(BATCH_CHUNK)
+            member_bounds = np.concatenate([head, tail_bounds])
+            member_kim = np.concatenate([head, tail_kim])
+        for start in range(0, order_array.size, BATCH_CHUNK):
+            positions = np.arange(start, min(start + BATCH_CHUNK, order_array.size))
+            stats.members_examined += positions.size
             abandon = -heap[0][0] if len(heap) == k else math.inf
-            raw = dtw(
+            if member_bounds is not None and math.isfinite(abandon):
+                keep = member_bounds[positions] < abandon
+                stats.members_pruned_lb += int(positions.size - keep.sum())
+                _attribute_lb_prunes(
+                    stats, member_kim[positions[~keep]], abandon, reverse=False
+                )
+                positions = positions[keep]
+                if not positions.size:
+                    continue
+            distances = dtw_batch(
                 query,
-                values,
-                window=self.window,
+                ordered_values[positions],
+                radius,
                 abandon_above=abandon if math.isfinite(abandon) else None,
             )
-            if raw == math.inf:
-                stats.members_abandoned += 1
-                stats.cascade_dtw_abandon += 1
-                continue
-            admit(member_index, raw, values)
+            for position, raw in zip(
+                positions.tolist(), distances.tolist(), strict=True
+            ):
+                if raw == math.inf:
+                    stats.members_abandoned += 1
+                    stats.cascade_dtw_abandon += 1
+                    continue
+                admit(int(order_array[position]), raw, ordered_values[position])
         return sorted(results.values())
 
 

@@ -114,7 +114,6 @@ def append_series(
         value_range=index.value_range,
         build_seconds=index.build_seconds,
         group_search_width=index.processor.group_search_width,
-        use_batch_kernels=index.processor.use_batch_kernels,
         assign_mode=index.assign_mode,
         build_profile=index.build_profile,
     )

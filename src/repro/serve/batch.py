@@ -1,17 +1,13 @@
-"""True batched execution of Class I similarity queries.
+"""Batched execution of Class I similarity queries.
 
-``OnexIndex.query_batch`` historically looped ``query`` over its inputs
-— the batch-kernel payloads were amortized, but every query still paid
-its own representative scan (one Python-level DP sweep per query) and
-its own in-group refinement, serially. The executor here makes the
-batch real, in two moves:
+``OnexIndex.query_batch`` and ``OnexService.query_batch`` run through
+the executor here, in two moves:
 
 1. **Length-grouped stacked scans.** Incoming queries are grouped by
    resolved length — queries of one length visit the same buckets in
    the same §5.3 order — and each group selects its buckets through
    :meth:`~repro.core.query_processor.QueryProcessor.assign_buckets_stacked`,
-   the single owner of the sweep semantics (it lives next to
-   ``best_match`` so the per-query and batched paths cannot drift).
+   the same sweep a single ``query`` runs with a one-row stack.
    Underneath, the scan is one stacked kernel pass per bucket: the full
    (query, representative) lower-bound matrix in a few NumPy
    reductions, then fused :func:`~repro.distances.batch.dtw_pairs`
@@ -23,7 +19,7 @@ batch real, in two moves:
    locks), so workers share stacks instead of rebuilding them, and each
    worker's thread-local stats merge back into the caller's.
 
-The result is **bit-identical** to the sequential per-query loop
+The result is **bit-identical** to the per-query ``query`` loop
 (``benchmarks/bench_serving.py`` asserts both the identity and the
 throughput win).
 """
@@ -65,7 +61,7 @@ def execute_batch(
     reuse its thread pool, otherwise a transient pool of ``max_workers``
     threads (default: :func:`default_workers`) refines the groups.
     Returns one match list per query, in input order — bit-identical to
-    the sequential per-query loop.
+    the per-query ``query`` loop.
     """
     if k < 1:
         raise QueryError(f"k must be >= 1, got {k}")

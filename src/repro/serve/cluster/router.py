@@ -75,6 +75,10 @@ from repro.serve.cluster.shardmap import (
 
 _NO_REP_ERROR = "no representative reachable; widen the DTW window"
 
+# Longest reply line read from a worker. asyncio's 64 KiB default is
+# smaller than a data-driven ``seasonal`` reply at a short length.
+_WORKER_LINE_LIMIT = 64 * 1024 * 1024
+
 # Ops answered (or enqueued) without touching shard compute capacity:
 # observability and job bookkeeping must work even under overload.
 _ADMISSION_EXEMPT = frozenset(
@@ -371,6 +375,7 @@ class WorkerHandle:
             stdout=asyncio.subprocess.PIPE,
             stderr=None,  # worker banner/tracebacks share our stderr
             env=self._spawn_env(),
+            limit=_WORKER_LINE_LIMIT,
         )
         self._started_time = time.monotonic()
         self._reader_task = asyncio.ensure_future(self._read_loop())
@@ -380,7 +385,16 @@ class WorkerHandle:
         assert self.process is not None and self.process.stdout is not None
         stdout = self.process.stdout
         while True:
-            line = await stdout.readline()
+            try:
+                line = await stdout.readline()
+            except ValueError:
+                # A line over _WORKER_LINE_LIMIT: the stream has lost its
+                # framing, so treat it as a dead pipe — fail what is in
+                # flight now and let the monitor respawn the worker.
+                self._fail_pending()
+                with contextlib.suppress(ProcessLookupError):
+                    self.process.kill()
+                break
             if not line:
                 break
             try:

@@ -169,32 +169,16 @@ class OnexService:
         ]
         missing = [i for i, result in enumerate(results) if result is None]
         if missing:
-            if self.index.processor.use_batch_kernels:
-                fresh = execute_batch(
-                    self.index,
-                    [prepared[i] for i in missing],
-                    length=length,
-                    k=k,
-                    normalized=True,
-                    stop_at_half_st=stop_at_half_st,
-                    pool=self._pool,
-                )
-                self._absorb_query_stats()
-            else:
-                # Scalar-reference configuration: honour it (the stacked
-                # executor is a batch-kernel path), exactly like
-                # OnexIndex.query_batch's grouped guard.
-                fresh = []
-                for i in missing:
-                    fresh.append(
-                        self.index.query(
-                            prepared[i],
-                            length=length,
-                            k=k,
-                            stop_at_half_st=stop_at_half_st,
-                        )
-                    )
-                    self._absorb_query_stats()
+            fresh = execute_batch(
+                self.index,
+                [prepared[i] for i in missing],
+                length=length,
+                k=k,
+                normalized=True,
+                stop_at_half_st=stop_at_half_st,
+                pool=self._pool,
+            )
+            self._absorb_query_stats()
             for i, matches in zip(missing, fresh, strict=True):
                 self.cache.put(keys[i], tuple(matches))
                 results[i] = matches

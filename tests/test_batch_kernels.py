@@ -1,9 +1,9 @@
 """Batch kernels vs scalar kernels: agreement to fp tolerance.
 
 The contract of :mod:`repro.distances.batch` is exactness — every
-vectorized kernel must agree with its scalar counterpart, and the batch
-query path must return the same matches as the scalar one. These are
-the property tests the ISSUE's cascade refactor leans on.
+vectorized kernel must agree with its scalar counterpart, and the
+query path built on them must return the same matches as the scalar
+oracle in ``tests/oracles/scalar_query.py``.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from repro.distances.batch import (
 from repro.distances.dtw import dtw, resolve_window
 from repro.distances.lower_bounds import CascadePruner, envelope, lb_keogh, lb_kim
 from repro.exceptions import DistanceError
+from tests.oracles import scalar_query
 
 values_strategy = st.floats(min_value=-10, max_value=10, allow_nan=False)
 
@@ -174,43 +175,63 @@ class TestCascadePrunerBatch:
 
 
 class TestQueryPathParity:
-    def _processors(self, small_index, **kwargs):
-        shared = dict(st=small_index.st, window=small_index.window, **kwargs)
-        scalar = QueryProcessor(
-            small_index.rspace, small_index.dataset, use_batch_kernels=False, **shared
+    """The production query path vs the scalar oracle in ``tests/oracles``."""
+
+    def _processor(self, small_index, **kwargs):
+        return QueryProcessor(
+            small_index.rspace,
+            small_index.dataset,
+            st=small_index.st,
+            window=small_index.window,
+            **kwargs,
         )
-        batch = QueryProcessor(
-            small_index.rspace, small_index.dataset, use_batch_kernels=True, **shared
-        )
-        return scalar, batch
+
+    def _assert_parity(self, got, expected):
+        assert [m.ssid for m in got] == [m.ssid for m in expected]
+        for gm, em in zip(got, expected, strict=True):
+            assert gm.dtw == pytest.approx(em.dtw, abs=1e-9)
 
     def test_best_match_parity_exact_length(self, small_index):
-        scalar, batch = self._processors(small_index)
+        processor = self._processor(small_index)
         for series in range(6):
             query = small_index.dataset[series].values[2:14]
-            a = scalar.best_match(query, length=12, k=3)
-            b = batch.best_match(query, length=12, k=3)
-            assert [m.ssid for m in a] == [m.ssid for m in b]
-            for am, bm in zip(a, b, strict=True):
-                assert am.dtw == pytest.approx(bm.dtw, abs=1e-9)
-
-    def test_best_match_parity_any_length(self, small_index):
-        scalar, batch = self._processors(small_index)
-        for series in range(4):
-            query = small_index.dataset[series].values[1:13]
-            a = scalar.best_match(query, stop_at_half_st=False)
-            b = batch.best_match(query, stop_at_half_st=False)
-            assert [m.ssid for m in a] == [m.ssid for m in b]
-            assert a[0].dtw_normalized == pytest.approx(
-                b[0].dtw_normalized, abs=1e-9
+            self._assert_parity(
+                processor.best_match(query, length=12, k=3),
+                scalar_query.best_match(processor, query, length=12, k=3),
             )
 
-    def test_best_match_parity_n_probe(self, small_index):
-        scalar, batch = self._processors(small_index, n_probe=3)
-        query = small_index.dataset[7].values[4:16]
-        a = scalar.best_match(query, length=12, k=4)
-        b = batch.best_match(query, length=12, k=4)
-        assert [m.ssid for m in a] == [m.ssid for m in b]
+    def test_best_match_parity_any_length(self, small_index):
+        processor = self._processor(small_index)
+        for series in range(4):
+            query = small_index.dataset[series].values[1:13]
+            for stop in (True, False):
+                self._assert_parity(
+                    processor.best_match(query, stop_at_half_st=stop),
+                    scalar_query.best_match(processor, query, stop_at_half_st=stop),
+                )
+
+    @pytest.mark.parametrize(
+        "options",
+        [
+            {"n_probe": 3},
+            {"use_lower_bounds": False},
+            {"use_lower_bounds": False, "median_ordering": False},
+            {"group_search_width": 2},
+            {"n_probe": 2, "group_search_width": 3},
+        ],
+    )
+    def test_best_match_parity_under_options(self, small_index, options):
+        processor = self._processor(small_index, **options)
+        for series in (3, 7):
+            query = small_index.dataset[series].values[4:16]
+            self._assert_parity(
+                processor.best_match(query, length=12, k=4),
+                scalar_query.best_match(processor, query, length=12, k=4),
+            )
+            self._assert_parity(
+                processor.best_match(query, k=2),
+                scalar_query.best_match(processor, query, k=2),
+            )
 
     def test_query_batch_matches_per_query(self, small_index):
         queries = [
@@ -221,42 +242,31 @@ class TestQueryPathParity:
         for query, matches in zip(queries, batched, strict=True):
             singles = small_index.query(query, length=12, k=2)
             assert [m.ssid for m in matches] == [m.ssid for m in singles]
-            for bm, sm in zip(matches, singles, strict=True):
-                assert bm.dtw == pytest.approx(sm.dtw, abs=1e-9)
+            assert [m.dtw for m in matches] == [m.dtw for m in singles]
 
     def test_search_group_uses_scan_distance(self, small_index, monkeypatch):
         """Bugfix regression: the in-group search must not recompute the
         query→representative DTW the scan already produced."""
-        processor = QueryProcessor(
-            small_index.rspace,
-            small_index.dataset,
-            st=small_index.st,
-            window=small_index.window,
-            use_batch_kernels=False,
-        )
-        query = small_index.dataset[2].values[3:15]
-        bucket = small_index.rspace.bucket(12)
-        representatives = [
-            group.representative.tobytes() for group in bucket.groups
-        ]
-
         import repro.core.query_processor as qp
 
-        rep_dtw_calls = 0
-        original_dtw = qp.dtw
+        processor = self._processor(small_index)
+        query = small_index.dataset[2].values[3:15]
+        bucket = small_index.rspace.bucket(12)
+        rep_pairs = 0
+        original_pairs = qp.dtw_pairs
 
-        def counting_dtw(x, y, *args, **kwargs):
-            nonlocal rep_dtw_calls
-            if np.asarray(y).tobytes() in representatives:
-                rep_dtw_calls += 1
-            return original_dtw(x, y, *args, **kwargs)
+        def counting_pairs(queries, candidates, *args, **kwargs):
+            nonlocal rep_pairs
+            rep_pairs += len(candidates)
+            return original_pairs(queries, candidates, *args, **kwargs)
 
-        monkeypatch.setattr(qp, "dtw", counting_dtw)
+        monkeypatch.setattr(qp, "dtw_pairs", counting_pairs)
         processor.best_match(query, length=12)
-        # The scan DTWs each (unpruned) representative at most once; the
-        # group search must not add a second computation for the probed
-        # group's representative.
-        assert rep_dtw_calls <= len(bucket.groups)
+        # dtw_pairs is the only kernel that runs a representative DP:
+        # the scan DTWs each (unpruned) representative at most once, and
+        # the group search adds no computation for the probed group's
+        # representative.
+        assert 0 < rep_pairs <= len(bucket.groups)
 
     def test_baseline_parity(self, small_dataset):
         lengths = [12, 24]

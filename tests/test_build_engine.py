@@ -20,9 +20,9 @@ from repro.core.grouping import (
     reference_build_groups_for_length,
 )
 from repro.core.onex import OnexIndex
-from repro.core.query_processor import QueryProcessor
 from repro.data.store import SubsequenceStore
 from repro.exceptions import IndexConstructionError
+from tests.oracles import scalar_query
 
 
 def _assert_identical(engine_groups, reference_groups):
@@ -156,15 +156,10 @@ class TestMinibatchEndToEnd:
     def test_batch_and_scalar_paths_agree(self, small_dataset, minibatch_index):
         queries = [small_dataset[s].values[0:12] for s in range(3)]
         batch_results = minibatch_index.query_batch(queries, length=12)
-        scalar = QueryProcessor(
-            minibatch_index.rspace,
-            minibatch_index.dataset,
-            st=minibatch_index.st,
-            window=minibatch_index.window,
-            use_batch_kernels=False,
-        )
         for query, matches in zip(queries, batch_results, strict=True):
-            reference = scalar.best_match(query, length=12, k=1)
+            reference = scalar_query.best_match(
+                minibatch_index.processor, query, length=12, k=1
+            )
             assert matches[0].ssid == reference[0].ssid
             assert abs(matches[0].dtw - reference[0].dtw) <= 1e-9
 
@@ -199,15 +194,10 @@ class TestMaintenanceProperty:
             novel[1:13]
         ]
         batch_results = extended.query_batch(queries, length=12)
-        scalar = QueryProcessor(
-            extended.rspace,
-            extended.dataset,
-            st=extended.st,
-            window=extended.window,
-            use_batch_kernels=False,
-        )
         for query, matches in zip(queries, batch_results, strict=True):
-            reference = scalar.best_match(query, length=12, k=1)
+            reference = scalar_query.best_match(
+                extended.processor, query, length=12, k=1
+            )
             assert matches[0].ssid == reference[0].ssid
             assert abs(matches[0].dtw - reference[0].dtw) <= 1e-9
 

@@ -17,6 +17,7 @@ import pytest
 
 from repro.core.onex import OnexIndex
 from repro.core.persistence import read_manifest, save_index
+from repro.data.synthetic import make_dataset
 from repro.serve.cluster.jobs import JobQueue
 from repro.serve.cluster.metrics import ClusterMetrics, LatencyHistogram
 from repro.serve.cluster.router import (
@@ -529,6 +530,36 @@ class TestClusterEndToEnd:
 
         assert info["info"]["lengths"] == lengths
         assert info["info"]["n_shards"] == 2
+
+    def test_reply_over_64k_returns(self, tmp_path):
+        """Bugfix regression: a worker reply longer than asyncio's default
+        64 KiB stream limit used to kill the router's read loop and wedge
+        the shard until the request's deadline."""
+        dataset = make_dataset("ItalyPower", n_series=120, length=64, seed=3)
+        index = OnexIndex.build(dataset, st=0.2, lengths=[8, 48], seed=0)
+        path = str(tmp_path / "wide_v3")
+        save_index(index, path)
+        request = {"op": "seasonal", "length": 8, "id": "s-wide"}
+        with OnexService(OnexIndex.load(path), max_workers=1) as service:
+            expected = json.dumps(respond(service, dict(request)), sort_keys=True)
+        assert len(expected) > 64 * 1024
+
+        async def run():
+            router = ClusterRouter(path, n_shards=2, ping_interval=30)
+            await router.start()
+            try:
+                response = await router.process_request(
+                    {**request, "timeout_ms": 20000}
+                )
+                metrics = await router.process_request({"op": "metrics"})
+            finally:
+                await router.drain()
+            return response, metrics["metrics"]
+
+        response, metrics = _run(run())
+        assert response["ok"], response
+        assert json.dumps(response, sort_keys=True) == expected
+        assert metrics["failovers"] == 0 and metrics["retries"] == 0
 
     def test_backpressure_rejects_instead_of_buffering(self, v3_path):
         async def run():

@@ -418,6 +418,49 @@ class TestV3NonQueryPaths:
         assert [m.dtw for m in got] == pytest.approx([m.dtw for m in expected])
 
 
+class TestLegacyKernelFlag:
+    """Indexes saved before the scalar query path was removed carry a
+    ``use_batch_kernels`` manifest key; it is ignored on load."""
+
+    def _battery(self, index):
+        answers = []
+        for series in range(4):
+            values = index.dataset[series].values
+            for query, length in ((values[2:14], 12), (values[1:10], None)):
+                matches = index.query(query, length=length, k=3)
+                answers.append([(m.ssid, m.dtw) for m in matches])
+        return answers
+
+    @pytest.mark.parametrize("flag", [False, True])
+    def test_v3_manifest_with_flag_loads_and_answers(
+        self, small_index, v3_path, flag
+    ):
+        manifest_path = v3_path / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["use_batch_kernels"] = flag
+        manifest_path.write_text(json.dumps(manifest))
+        assert self._battery(load_index(v3_path)) == self._battery(small_index)
+
+    def test_v2_archive_with_flag_loads_and_answers(self, small_index, saved_path):
+        with np.load(saved_path) as archive:
+            arrays = {name: archive[name] for name in archive.files}
+        manifest = json.loads(bytes(arrays["manifest"]).decode("utf-8"))
+        manifest["use_batch_kernels"] = False
+        arrays["manifest"] = np.frombuffer(
+            json.dumps(manifest).encode("utf-8"), dtype=np.uint8
+        )
+        np.savez_compressed(saved_path, **arrays)
+        assert self._battery(load_index(saved_path)) == self._battery(small_index)
+
+    def test_saved_manifests_no_longer_carry_the_flag(self, saved_path, v3_path):
+        assert "use_batch_kernels" not in json.loads(
+            (v3_path / "manifest.json").read_text()
+        )
+        with np.load(saved_path) as archive:
+            v2_manifest = json.loads(bytes(archive["manifest"]).decode("utf-8"))
+        assert "use_batch_kernels" not in v2_manifest
+
+
 class TestV3Errors:
     def test_missing_manifest(self, tmp_path):
         empty = tmp_path / "empty.onex"

@@ -19,6 +19,7 @@ import pytest
 
 import repro.core.rspace as rspace_module
 from repro.core.persistence import load_index, save_index
+from repro.core.query_processor import QueryProcessor
 from repro.exceptions import QueryError
 from repro.serve import (
     OnexService,
@@ -26,6 +27,7 @@ from repro.serve import (
     execute_batch,
     serve_lines,
 )
+from tests.oracles import scalar_query
 
 N_THREADS = 8
 
@@ -175,29 +177,29 @@ class TestConcurrentQueries:
 
 
 class TestBatchExecutor:
-    def test_exact_length_identical_to_sequential(self, small_index, workload):
+    def test_exact_length_identical_to_loop(self, small_index, workload):
         queries = [q for q in workload if q.shape[0] == 12]
-        sequential = small_index.query_batch(queries, length=12, grouped=False)
-        grouped = small_index.query_batch(queries, length=12, grouped=True)
-        _identical(grouped, sequential)
+        _identical(
+            small_index.query_batch(queries, length=12),
+            [small_index.query(q, length=12) for q in queries],
+        )
 
-    def test_any_length_identical_to_sequential(self, small_index, workload):
-        sequential = small_index.query_batch(workload, grouped=False)
-        grouped = small_index.query_batch(workload, grouped=True)
-        _identical(grouped, sequential)
+    def test_any_length_identical_to_loop(self, small_index, workload):
+        _identical(
+            small_index.query_batch(workload), _serial_answers(small_index, workload)
+        )
 
     def test_k_and_no_stop_identical(self, small_index, workload):
-        sequential = small_index.query_batch(
-            workload, k=3, stop_at_half_st=False, grouped=False
+        _identical(
+            small_index.query_batch(workload, k=3, stop_at_half_st=False),
+            [small_index.query(q, k=3, stop_at_half_st=False) for q in workload],
         )
-        grouped = small_index.query_batch(
-            workload, k=3, stop_at_half_st=False, grouped=True
-        )
-        _identical(grouped, sequential)
 
     def test_single_worker_identical(self, small_index, workload):
-        grouped = small_index.query_batch(workload, grouped=True, max_workers=1)
-        _identical(grouped, small_index.query_batch(workload, grouped=False))
+        _identical(
+            small_index.query_batch(workload, max_workers=1),
+            _serial_answers(small_index, workload),
+        )
 
     def test_empty_batch(self, small_index):
         assert small_index.query_batch([]) == []
@@ -210,35 +212,84 @@ class TestBatchExecutor:
         with pytest.raises(QueryError, match="not indexed"):
             small_index.query_batch(workload[:2], length=13)
 
-    def test_grouped_on_fresh_v3_index(self, v3_path, workload, small_index):
+    def test_batch_on_fresh_v3_index(self, v3_path, workload, small_index):
         loaded = load_index(v3_path)
-        grouped = loaded.query_batch(workload, grouped=True)
-        _identical(grouped, small_index.query_batch(workload, grouped=False))
+        _identical(
+            loaded.query_batch(workload), _serial_answers(small_index, workload)
+        )
 
     def test_worker_refinement_stats_merge_into_caller(
         self, small_index, workload
     ):
         processor = small_index.processor
-        small_index.query_batch(workload, grouped=True, max_workers=4)
+        small_index.query_batch(workload, max_workers=4)
         stats = processor.last_stats
         # The in-group search ran on pool threads; its counters must
         # still land in the calling thread's stats.
         assert stats.members_examined > 0
         assert stats.reps_examined > 0
 
+    def test_single_query_stats_equal_one_element_batch(
+        self, small_index, workload
+    ):
+        processor = small_index.processor
+        for query in (workload[0], workload[5], workload[-1]):
+            for length in (None, 12):
+                processor.best_match(query, length=length, k=2)
+                single = processor.last_stats
+                small_index.query_batch([query], length=length, k=2)
+                assert processor.last_stats == single
+                assert single.reps_examined > 0 and single.members_examined > 0
+
 
 class TestStackedScan:
-    def test_matches_per_query_scan(self, small_index, workload):
+    def test_matches_scalar_oracle_scan(self, small_index, workload):
         processor = small_index.processor
         bucket = small_index.rspace.bucket(12)
         queries = np.stack([q for q in workload if q.shape[0] == 12])
         stacked = processor.scan_representatives_stacked(bucket, queries)
         for query, scans in zip(queries, stacked, strict=True):
-            single = processor._scan_representatives(bucket, query, np.inf)
+            single = scalar_query.scan_representatives(processor, bucket, query)
             assert [s.group_index for s in scans] == [
                 s.group_index for s in single
             ]
-            assert [s.dtw_raw for s in scans] == [s.dtw_raw for s in single]
+            assert [s.dtw_raw for s in scans] == pytest.approx(
+                [s.dtw_raw for s in single], abs=1e-9
+            )
+
+    @pytest.mark.parametrize("n_probe", [1, 3])
+    @pytest.mark.parametrize("finite_bounds", [False, True])
+    def test_one_row_stack_equals_row_of_many(
+        self, small_index, workload, n_probe, finite_bounds
+    ):
+        """A query's scans do not depend on which rows share its stack."""
+        processor = QueryProcessor(
+            small_index.rspace,
+            small_index.dataset,
+            st=small_index.st,
+            window=small_index.window,
+            n_probe=n_probe,
+        )
+        bucket = small_index.rspace.bucket(12)
+        queries = np.stack([q for q in workload if q.shape[0] == 12])
+        bounds = None
+        if finite_bounds:
+            # Each query's own best distance (tie: scan survives) scaled
+            # so that some rows keep their probes and others lose them.
+            open_scans = processor.scan_representatives_stacked(bucket, queries)
+            factors = np.resize([1.0, 0.5, 2.0], len(queries))
+            bounds = np.array(
+                [scans[0].dtw_normalized for scans in open_scans]
+            ) * factors
+        many = processor.scan_representatives_stacked(bucket, queries, bounds)
+        assert any(many)
+        for row, query in enumerate(queries):
+            alone = processor.scan_representatives_stacked(
+                bucket,
+                query[None, :],
+                None if bounds is None else bounds[row : row + 1],
+            )
+            assert alone == [many[row]]
 
     def test_seeded_bounds_prune_like_per_query(self, small_index, workload):
         processor = small_index.processor
@@ -347,9 +398,7 @@ class TestOnexService:
             second = service.query_batch(queries, length=12)
             assert service.cache.stats["hits"] == len(queries)
             _identical(first, second)
-            _identical(
-                first, small_index.query_batch(queries, length=12, grouped=False)
-            )
+            _identical(first, [small_index.query(q, length=12) for q in queries])
 
     def test_concurrent_service_queries_match_serial(self, v3_path, workload):
         expected = _serial_answers(load_index(v3_path), workload)
@@ -394,26 +443,6 @@ class TestOnexService:
         service = OnexService(small_index, max_workers=1)
         service.close()
         service.close()
-
-    def test_scalar_kernel_config_is_honoured(self, small_index, workload):
-        from repro.core.onex import OnexIndex
-
-        scalar = OnexIndex(
-            dataset=small_index.dataset,
-            rspace=small_index.rspace,
-            spspace=small_index.spspace,
-            st=small_index.st,
-            window=small_index.window,
-            start_step=small_index.start_step,
-            value_range=small_index.value_range,
-            use_batch_kernels=False,
-        )
-        queries = [q for q in workload if q.shape[0] == 12][:4]
-        with OnexService(scalar, max_workers=2) as service:
-            batched = service.query_batch(queries, length=12)
-        _identical(
-            batched, [scalar.query(query, length=12) for query in queries]
-        )
 
 
 class TestServeProtocol:
