@@ -11,7 +11,11 @@ single process byte for byte (canonical JSON with sorted keys).
 ``info`` / ``health`` / ``metrics`` are structural: the cluster tier
 reports shard-level state a single process does not have, so the smoke
 asserts the documented shape (per-shard latency histograms, merged
-cache and cascade counters) instead of equality.
+cache and cascade counters) instead of equality — plus two exact
+counts: the workers visited as many lengths and examined as many
+representatives as the single process did for the same battery (the
+any-length sweep is walked across shards, not scanned everywhere), and
+an any-length query cost at most two shard RPCs.
 
 ``--chaos`` runs the failure-model scenario instead: the CLI is
 started with ``--shards 2 --replicas 2``, a warm battery establishes
@@ -85,6 +89,12 @@ def make_requests(lengths: list[int]) -> list[dict]:
         {"op": "query", "id": "e-novalues"},
         {"op": "wat", "id": "e-unknown"},
     ]
+
+
+def rpcs_per_any_length_query(metrics: dict) -> float:
+    """Shard RPCs per ``Match = Any`` query, from the router's counters."""
+    queries = metrics.get("any_length_queries", 0)
+    return metrics.get("any_length_shard_rpcs", 0) / queries if queries else 0.0
 
 
 class PipeClient:
@@ -298,6 +308,7 @@ def main() -> int:
         )
         for request in requests
     }
+    single_stats = service.shard_info()["query_stats"]
     service.close()
 
     env = dict(os.environ)
@@ -394,6 +405,21 @@ def main() -> int:
             metrics.get("query_stats", {}).get("rep_dtw_full", 0) > 0,
             "merged cascade counters",
         ),
+        (
+            all(
+                metrics.get("query_stats", {}).get(key) == single_stats[key]
+                for key in ("lengths_visited", "reps_examined")
+            ),
+            "lengths visited and representatives examined equal the "
+            f"single process ({single_stats['lengths_visited']}, "
+            f"{single_stats['reps_examined']})",
+        ),
+        (
+            rpcs_per_any_length_query(metrics) <= 2,
+            "at most 2 shard RPCs per any-length query "
+            f"({metrics.get('any_length_shard_rpcs')} for "
+            f"{metrics.get('any_length_queries')})",
+        ),
     ]
     for passed, label in checks:
         print(("ok " if passed else "FAIL ") + label)
@@ -405,6 +431,7 @@ def main() -> int:
             {
                 "shards": args.shards,
                 "requests": len(requests),
+                "rpcs_per_any_length_query": rpcs_per_any_length_query(metrics),
                 "metrics": metrics,
                 "health": health,
             },

@@ -524,7 +524,7 @@ def read_manifest(path: str | os.PathLike) -> dict:
 
     The blessed read path for consumers that need the index *metadata*
     without hydrating any arrays — the cluster router computes its shard
-    map and replays the §5.3 length sweep from exactly this dict.
+    map and the §5.3 length order from exactly this dict.
     """
     path = os.fspath(path)
     manifest_path = os.path.join(path, _MANIFEST_NAME)

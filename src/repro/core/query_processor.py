@@ -239,22 +239,10 @@ class QueryProcessor:
     def scan_length(self, length: int, query: np.ndarray) -> list[_RepScan]:
         """Representative scan of one length with an open (infinite) bound.
 
-        The scatter half of the cluster tier's ``Match = Any`` flow: a
-        shard worker scans each of its owned lengths with no carried
-        bound, and the router replays the §5.3 sweep over the gathered
-        per-length minima. Exact by construction — the cross-length
-        bound in :meth:`best_match` only prunes work, never changes a
-        bucket's best representative — so the replayed sweep selects
-        the same bucket the single-process sweep would (``n_probe`` is
-        required to be 1: with more probes the carried bound also trims
-        the probe list, which the open-bound scan cannot reproduce).
+        The scan half of an exact-length query, standalone:
+        ``refine_scans(length, scan_length(length, query), query, k)``
+        is ``best_match(query, length=length, k=k)``.
         """
-        if self.n_probe != 1:
-            raise QueryError(
-                "scan_length requires n_probe == 1 (the sharded sweep "
-                f"replay is only exact for single-probe scans), got "
-                f"{self.n_probe}"
-            )
         query = as_float_array(query, "query")
         self.last_stats = QueryStats()
         bucket = self.rspace.bucket(int(length))
@@ -270,10 +258,10 @@ class QueryProcessor:
     ) -> list[Match]:
         """The in-group refinement half of :meth:`best_match`, standalone.
 
-        The gather half of the cluster tier's ``Match = Any`` flow: once
-        the router has replayed the length sweep over shard scans, the
-        winning length's owner runs exactly the :meth:`search_groups`
-        call :meth:`best_match` would have issued.
+        The last step of the cluster tier's ``Match = Any`` flow: once
+        the segmented sweep has selected a length and its scans, the
+        owner runs exactly the :meth:`search_groups` call
+        :meth:`best_match` would have issued.
         """
         query = as_float_array(query, "query")
         self.last_stats = QueryStats()
@@ -564,7 +552,9 @@ class QueryProcessor:
         queries: np.ndarray,
         length: int | None = None,
         stop_at_half_st: bool = True,
-    ) -> "list[tuple[LengthBucket, list[_RepScan]]]":
+        lengths: "Sequence[int] | None" = None,
+        bounds: "Sequence[float] | None" = None,
+    ) -> "list[tuple[LengthBucket, list[_RepScan]] | None]":
         """Select each query's bucket and probe scans (§5.3 length sweep).
 
         Returns, per row of the equal-length ``queries`` stack, the
@@ -575,6 +565,15 @@ class QueryProcessor:
         lengths and (with ``stop_at_half_st``) leaving the sweep at the
         first representative within ``ST/2`` — queries that are done
         simply drop out of the stacked scans of the remaining lengths.
+
+        ``lengths`` and ``bounds`` run one *segment* of that sweep: the
+        given lengths are visited in the given order, with query ``q``'s
+        best-so-far seeded from ``bounds[q]`` (normalized; ``inf`` for
+        none). A row comes back ``None`` when nothing in the segment
+        beats its seed. Chaining segments — each seeded with the top
+        distance of the best selection so far — visits the same lengths
+        with the same bounds as one call over the whole order, which is
+        how the cluster tier walks the sweep across shards.
         """
         queries = np.asarray(queries, dtype=np.float64)
         n_queries = queries.shape[0]
@@ -592,48 +591,41 @@ class QueryProcessor:
                     )
             return [(bucket, scans) for scans in scans_per_query]
 
+        whole_sweep = lengths is None
+        if whole_sweep:
+            lengths = self.rspace.search_length_order(queries.shape[1])
+        carried = (
+            np.full(n_queries, math.inf)
+            if bounds is None
+            else np.array(bounds, dtype=np.float64)
+        )
         best: list[tuple | None] = [None] * n_queries  # (bucket, scans)
         active = list(range(n_queries))
-        for candidate_length in self.rspace.search_length_order(
-            queries.shape[1]
-        ):
+        for candidate_length in lengths:
             if not active:
                 break
-            bucket = self.rspace.bucket(candidate_length)
+            bucket = self.rspace.bucket(int(candidate_length))
             stats.lengths_visited += len(active)
-            bounds = np.array(
-                [
-                    math.inf
-                    if best[q] is None
-                    else best[q][1][0].dtw_normalized
-                    for q in active
-                ]
-            )
             scans_per_query = self.scan_representatives_stacked(
-                bucket, queries[active], bounds
+                bucket, queries[active], carried[active]
             )
             still_active = []
             for q, scans in zip(active, scans_per_query, strict=True):
-                if scans and (
-                    best[q] is None
-                    or scans[0].dtw_normalized < best[q][1][0].dtw_normalized
-                ):
-                    best[q] = (bucket, scans)
-                if (
-                    stop_at_half_st
-                    and scans
-                    and scans[0].dtw_normalized <= self.st / 2.0
-                ):
-                    stats.stopped_at_half_st = True
-                    continue
+                if scans:
+                    top = scans[0].dtw_normalized
+                    if top < carried[q]:
+                        best[q] = (bucket, scans)
+                        carried[q] = top
+                    if stop_at_half_st and top <= self.st / 2.0:
+                        stats.stopped_at_half_st = True
+                        continue
                 still_active.append(q)
             active = still_active
-        for q in range(n_queries):
-            if best[q] is None:
-                raise QueryError(
-                    "no representative reachable; widen the DTW window"
-                )
-        return best  # type: ignore[return-value]
+        if whole_sweep and any(selected is None for selected in best):
+            raise QueryError(
+                "no representative reachable; widen the DTW window"
+            )
+        return best
 
     def search_groups(
         self,

@@ -320,11 +320,11 @@ def search_length_order(lengths: list[int], query_length: int) -> list[int]:
     """The §5.3 length sweep order as a pure function of the length grid.
 
     Shared by :meth:`RSpace.search_length_order` and the cluster router,
-    which replays the sweep over scatter-gathered shard scans without an
-    :class:`RSpace` instance — both must visit lengths in exactly this
-    order for sharded answers to stay bit-identical (ties in the
-    nearest-length probe resolve to the smaller length, matching
-    ``min``'s first-wins behaviour).
+    which cuts the order into per-shard runs without an :class:`RSpace`
+    instance — both must visit lengths in exactly this order for sharded
+    answers to stay bit-identical (ties in the nearest-length probe
+    resolve to the smaller length, matching ``min``'s first-wins
+    behaviour).
     """
     lengths = sorted(int(length) for length in lengths)
     if query_length in lengths:

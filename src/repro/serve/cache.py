@@ -7,8 +7,8 @@ answers keyed by a digest of the (normalized) query values plus every
 parameter that affects the result — length constraint, ``k``, the
 index's similarity threshold — so a repeated request costs one dict
 lookup instead of a representative scan. All operations take one lock;
-hit/miss counters are surfaced through ``OnexService.info`` (and the
-``info`` op of ``onex serve``).
+hit/miss/eviction counters are surfaced through ``OnexService.info``
+(and the ``info`` op of ``onex serve``).
 """
 
 from __future__ import annotations
@@ -65,6 +65,7 @@ class ResultCache:
         self._lock = threading.Lock()
         self.hits = 0  # guarded-by: _lock
         self.misses = 0  # guarded-by: _lock
+        self.evictions = 0  # guarded-by: _lock
 
     @staticmethod
     def make_key(values: np.ndarray, **params: object) -> tuple:
@@ -116,6 +117,7 @@ class ResultCache:
             ):
                 evicted_key, _ = self._entries.popitem(last=False)
                 self._bytes -= self._sizes.pop(evicted_key)
+                self.evictions += 1
 
     def clear(self) -> None:
         """Drop every entry (counters are kept)."""
@@ -132,13 +134,14 @@ class ResultCache:
     def stats(self) -> dict:
         """Hit/miss counters plus occupancy, as one JSON-friendly dict."""
         with self._lock:
-            hits, misses = self.hits, self.misses
+            hits, misses, evictions = self.hits, self.misses, self.evictions
             entries = len(self._entries)
             cached_bytes = self._bytes
         total = hits + misses
         return {
             "hits": hits,
             "misses": misses,
+            "evictions": evictions,
             "entries": entries,
             "capacity": self.capacity,
             "bytes": cached_bytes,

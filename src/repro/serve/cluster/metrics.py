@@ -98,6 +98,8 @@ class ClusterMetrics:
         self._deadline_exceeded = 0  # guarded-by: _lock
         self._degraded_responses = 0  # guarded-by: _lock
         self._crash_loops = 0  # guarded-by: _lock
+        self._any_length_queries = 0  # guarded-by: _lock
+        self._any_length_shard_rpcs = 0  # guarded-by: _lock
         self._breaker_transitions: dict[str, int] = {}  # guarded-by: _lock
 
     def record_op(self, op: str) -> None:
@@ -148,6 +150,12 @@ class ClusterMetrics:
         with self._lock:
             self._crash_loops += 1
 
+    def record_any_length(self, queries: int = 0, shard_rpcs: int = 0) -> None:
+        """Count ``Match = Any`` queries and the shard RPCs their walks issue."""
+        with self._lock:
+            self._any_length_queries += queries
+            self._any_length_shard_rpcs += shard_rpcs
+
     def record_breaker_transition(self, state: str) -> None:
         with self._lock:
             self._breaker_transitions[state] = (
@@ -188,6 +196,8 @@ class ClusterMetrics:
                 "deadline_exceeded": self._deadline_exceeded,
                 "degraded_responses": self._degraded_responses,
                 "crash_loops": self._crash_loops,
+                "any_length_queries": self._any_length_queries,
+                "any_length_shard_rpcs": self._any_length_shard_rpcs,
                 "breaker_transitions": dict(self._breaker_transitions),
             }
         snapshot["stages"] = {

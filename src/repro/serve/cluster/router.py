@@ -8,11 +8,12 @@ client op by fanning out to the owning shard(s) and merging:
 * ``query`` with an explicit ``length`` (and exact-length batches)
   forwards whole to the owning shard — the worker runs the very same
   ``OnexService.query`` a single process would.
-* ``query`` with ``Match = Any`` scatters an open-bound ``scan`` to
-  every shard, replays the §5.3 length sweep over the gathered
-  per-length minima (:func:`replay_sweep`), then sends one targeted
-  ``refine`` to the winning length's owner — bit-identical to the
-  single-process sweep (see ``QueryProcessor.scan_length``).
+* ``query`` with ``Match = Any`` walks the §5.3 length sweep across
+  shards (:meth:`ClusterRouter._walk`): the sweep order is cut into runs
+  of lengths owned by one shard, and each run is one ``sweep`` RPC that
+  carries the best-so-far bound and runs the single-process sweep code
+  over its lengths. The shard where the sweep stops refines in place,
+  so the common case is one RPC to one shard.
 * ``within`` without a length fans out with each shard's owned lengths
   and merges by stable sort on normalized distance; because shards own
   contiguous ascending length ranges, shard-order concatenation *is*
@@ -33,9 +34,10 @@ each subrequest (``budget_ms``), and a spent budget answers a
 structured ``deadline_exceeded`` error. Consecutive per-worker
 failures open a :class:`CircuitBreaker` (half-open probes on a timer)
 that steers traffic away from a flapping replica. When *every* replica
-of a shard is down, scatter ops honour ``allow_partial=true`` by
-answering with the surviving shards plus a ``degraded`` flag naming
-the missing ones; without it the request fails ``shard_unavailable``.
+of a shard a request needs is down, ``within`` and any-length
+``query`` honour ``allow_partial=true`` by answering over the surviving
+lengths plus a ``degraded`` flag naming the missing shards; without it
+the request fails ``shard_unavailable``.
 
 Admission control is a bounded in-flight counter: past
 ``max_inflight``, compute ops are rejected immediately with a
@@ -56,7 +58,6 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import json
-import math
 import os
 import random
 import sys
@@ -75,9 +76,10 @@ from repro.serve.cluster.shardmap import (
 
 _NO_REP_ERROR = "no representative reachable; widen the DTW window"
 
-# Longest reply line read from a worker. asyncio's 64 KiB default is
-# smaller than a data-driven ``seasonal`` reply at a short length.
-_WORKER_LINE_LIMIT = 64 * 1024 * 1024
+# Longest line read from a worker pipe or a TCP client. asyncio's 64 KiB
+# default is smaller than a data-driven ``seasonal`` reply at a short
+# length, and than a ``queries`` batch of a few dozen sequences.
+_LINE_LIMIT = 64 * 1024 * 1024
 
 # Ops answered (or enqueued) without touching shard compute capacity:
 # observability and job bookkeeping must work even under overload.
@@ -224,41 +226,54 @@ def respawn_delay(
     return min(float(cap), float(base) * 2 ** max(0, consecutive_crashes - 1))
 
 
-def replay_sweep(
-    scans_by_length: dict[int, list],
-    lengths: list[int],
-    query_length: int,
-    st: float,
-) -> tuple[int, list] | None:
-    """Replay the §5.3 length sweep over gathered open-bound scans.
+def sweep_runs(
+    shard_map: ShardMap, query_length: int
+) -> list[tuple[int, list[int]]]:
+    """The §5.3 length order cut into maximal runs owned by one shard.
 
-    Mirrors ``QueryProcessor.best_match``'s ``Match = Any`` loop
-    exactly: visit lengths in sweep order, keep the strictly-best
-    per-length top scan, stop once a representative is within ``ST/2``.
-    A length whose open-bound top does not beat the carried bound
-    contributes nothing — precisely the lengths whose bounded scan
-    would have come back empty in-process. Returns ``(best_length,
-    best_scans)`` or ``None`` when no representative is reachable.
+    Shards own contiguous length ranges and the order descends from the
+    query's length, then ascends, so there are at most ``n_shards + 1``
+    runs: ``[(shard_index, [length, ...]), ...]`` in visiting order.
     """
-    best_length: int | None = None
-    best_scans: list | None = None
-    bound = math.inf
-    for length in search_length_order(lengths, query_length):
-        scans = scans_by_length.get(length) or []
-        if not scans:
-            continue
-        top = scans[0][2]
-        if best_scans is None or top < bound:
-            best_length, best_scans, bound = length, scans, top
-        if top <= st / 2.0:
-            break
-        # A top above the carried bound is exactly an in-process empty
-        # bounded scan: no update, and no half-ST stop check can fire
-        # (the bound is already above ST/2 or the sweep would have
-        # stopped at the length that set it).
-    if best_scans is None:
+    runs: list[tuple[int, list[int]]] = []
+    for length in search_length_order(shard_map.lengths, query_length):
+        owner = shard_map.owner(length)
+        if runs and runs[-1][0] == owner:
+            runs[-1][1].append(length)
+        else:
+            runs.append((owner, [length]))
+    return runs
+
+
+class _Walk:
+    """One any-length query's place in its sweep across shards."""
+
+    __slots__ = ("values", "runs", "best")
+
+    def __init__(self, values: list, runs: list[tuple[int, list[int]]]):
+        self.values = values
+        self.runs = runs  # still to visit, in order
+        self.best: tuple[int, list] | None = None  # (length, scans) so far
+
+    def step(self, shard_map: ShardMap) -> tuple[int, str] | None:
+        """The ``(shard, op)`` of the next RPC, ``None`` when out of both."""
+        if self.runs:
+            return self.runs[0][0], "sweep"
+        if self.best is not None:
+            return shard_map.owner(self.best[0]), "refine"
         return None
-    return best_length, best_scans
+
+    def job(self, op: str) -> dict:
+        if op == "refine":
+            length, scans = self.best
+            return {"values": self.values, "length": length, "scans": scans}
+        return {
+            "values": self.values,
+            "run": self.runs[0][1],
+            # The best top distance so far; a float survives JSON exactly.
+            "bound": None if self.best is None else self.best[1][0][2],
+            "last": len(self.runs) == 1,
+        }
 
 
 def merge_within(shard_results: list[list[dict]]) -> list[dict]:
@@ -276,6 +291,31 @@ def merge_within(shard_results: list[list[dict]]) -> list[dict]:
     merged = [match for matches in shard_results for match in matches]
     merged.sort(key=lambda match: match["dtw_normalized"])
     return merged
+
+
+async def _read_frame(reader: asyncio.StreamReader) -> bytes | None:
+    """The next request line (``b""`` at EOF), ``None`` for an oversized one.
+
+    A line over the stream's limit is read to its end and dropped, so
+    the connection keeps its framing and the client can be answered:
+    closing with its bytes still unread would reset the socket and
+    could take the error reply with it.
+    """
+    try:
+        return await reader.readuntil(b"\n")
+    except asyncio.IncompleteReadError as exc:
+        return exc.partial
+    except asyncio.LimitOverrunError as exc:
+        consumed = exc.consumed
+    while True:
+        await reader.readexactly(consumed)
+        try:
+            await reader.readuntil(b"\n")
+            return None
+        except asyncio.IncompleteReadError:
+            return None
+        except asyncio.LimitOverrunError as exc:
+            consumed = exc.consumed
 
 
 class WorkerHandle:
@@ -375,7 +415,7 @@ class WorkerHandle:
             stdout=asyncio.subprocess.PIPE,
             stderr=None,  # worker banner/tracebacks share our stderr
             env=self._spawn_env(),
-            limit=_WORKER_LINE_LIMIT,
+            limit=_LINE_LIMIT,
         )
         self._started_time = time.monotonic()
         self._reader_task = asyncio.ensure_future(self._read_loop())
@@ -388,7 +428,7 @@ class WorkerHandle:
             try:
                 line = await stdout.readline()
             except ValueError:
-                # A line over _WORKER_LINE_LIMIT: the stream has lost its
+                # A line over _LINE_LIMIT: the stream has lost its
                 # framing, so treat it as a dead pipe — fail what is in
                 # flight now and let the monitor respawn the worker.
                 self._fail_pending()
@@ -965,7 +1005,7 @@ class ClusterRouter:
         return await self._forward(self._owner_or_zero(length), request, budget)
 
     # ------------------------------------------------------------------
-    # query (the scatter-gather centrepiece)
+    # query
     # ------------------------------------------------------------------
     async def _op_query(self, request: dict, budget: Budget | None) -> dict:
         if "values" not in request and "queries" not in request:
@@ -981,33 +1021,36 @@ class ClusterRouter:
             raise ValueError(f"k must be >= 1, got {k}")
         normalized = bool(request.get("normalized", True))
         allow_partial = bool(request.get("allow_partial", False))
-        if "queries" in request:
-            return await self._query_any_batch(
-                list(request["queries"]), k, normalized, budget, allow_partial
-            )
-        return await self._query_any(
-            request["values"], k, normalized, budget, allow_partial
+        batch = "queries" in request
+        queries = list(request["queries"]) if batch else [request["values"]]
+        results, degraded = await self._walk(
+            queries, k, normalized, budget, allow_partial
         )
+        response = (
+            {"ok": True, "results": results}
+            if batch
+            else {"ok": True, "matches": results[0]}
+        )
+        return self._mark_degraded(response, degraded)
 
-    async def _scatter(
+    async def _call_shards(
         self,
-        payload_for_shard,
+        calls: list[tuple[int, dict]],
         budget: Budget | None,
         allow_partial: bool,
-    ) -> tuple[list[tuple[ShardReplicas, dict]], list[int]]:
-        """Fan one op out to every shard through its replica set.
+    ) -> list[dict | None]:
+        """Issue the ``(shard, payload)`` RPCs concurrently, replies in order.
 
-        Returns the (replica_set, response) pairs that succeeded, in
-        shard order, plus the shard indices that were entirely
-        unavailable. Without ``allow_partial``, any unavailable shard
-        (or spent deadline) propagates as the failure it is.
+        A shard with no live replica raises :class:`ShardUnavailable`
+        unless ``allow_partial``, which yields ``None`` in its place; a
+        reply that is not ``ok`` raises its error text.
         """
         started = time.perf_counter()
         try:
             outcomes = await asyncio.gather(
                 *(
-                    replica_set.call(payload_for_shard(replica_set), budget)
-                    for replica_set in self.shards
+                    self.shards[shard].call(payload, budget)
+                    for shard, payload in calls
                 ),
                 return_exceptions=True,
             )
@@ -1015,113 +1058,105 @@ class ClusterRouter:
             self.metrics.stages["shard_compute"].observe(
                 time.perf_counter() - started
             )
-        available: list[tuple[ShardReplicas, dict]] = []
-        missing: list[int] = []
-        for replica_set, outcome in zip(self.shards, outcomes, strict=True):
-            if isinstance(outcome, ShardUnavailable):
-                if not allow_partial:
-                    raise outcome
-                missing.append(replica_set.shard_index)
+        for index, outcome in enumerate(outcomes):
+            if isinstance(outcome, ShardUnavailable) and allow_partial:
+                outcomes[index] = None
             elif isinstance(outcome, BaseException):
                 raise outcome
-            else:
-                available.append((replica_set, outcome))
-        for _, response in available:
-            if not response.get("ok"):
-                raise ValueError(response.get("error", "scan failed"))
-        return available, missing
-
-    def _sweep(self, scans_by_length: dict[int, list], query_length: int):
-        """Replay the sweep over merged per-shard scans (timed)."""
-        started = time.perf_counter()
-        winner = replay_sweep(
-            scans_by_length, self.shard_map.lengths, query_length, self.st
-        )
-        self.metrics.stages["merge"].observe(time.perf_counter() - started)
-        return winner
-
-    @staticmethod
-    def _merge_scans(per_shard_scans: list[dict]) -> dict[int, list]:
-        return {
-            int(length): scans
-            for shard_scans in per_shard_scans
-            for length, scans in shard_scans.items()
-        }
-
-    async def _refine_with_fallback(
-        self,
-        values: list,
-        k: int,
-        normalized: bool,
-        scans_by_length: dict[int, list],
-        budget: Budget | None,
-        allow_partial: bool,
-        degraded: set[int],
-    ) -> list[dict]:
-        """Sweep + refine, re-sweeping past shards that die mid-request.
-
-        When the winning length's shard loses its last replica between
-        the scan and the refine, ``allow_partial`` re-runs the sweep
-        without that shard's lengths — graceful degradation instead of
-        an error. The scans dict is mutated to drop dead shards so a
-        batch sharing it converges too.
-        """
-        while True:
-            winner = self._sweep(scans_by_length, len(values))
-            if winner is None:
-                raise ValueError(_NO_REP_ERROR)
-            best_length, best_scans = winner
-            owner = self.shard_map.owner(best_length)
-            job = {
-                "values": values,
-                "length": best_length,
-                "scans": best_scans,
-                "k": k,
-                "normalized": normalized,
-            }
-            try:
-                refined = await self._shard_call(
-                    self.shards[owner], {"op": "refine", "jobs": [job]}, budget
+        for (_, payload), outcome in zip(calls, outcomes, strict=True):
+            if outcome is not None and not outcome.get("ok"):
+                raise ValueError(
+                    outcome.get("error", f"{payload['op']} failed")
                 )
-            except ShardUnavailable:
-                if not allow_partial:
-                    raise
-                degraded.add(owner)
-                for length in self.shards[owner].lengths:
-                    scans_by_length.pop(length, None)
-                continue
-            if not refined.get("ok"):
-                raise ValueError(refined.get("error", "refine failed"))
-            return refined["results"][0]
+        return outcomes
 
-    async def _query_any(
+    async def _walk(
         self,
-        values: list,
+        queries: list,
         k: int,
         normalized: bool,
         budget: Budget | None,
         allow_partial: bool,
-    ) -> dict:
-        available, missing = await self._scatter(
-            lambda replica_set: {
-                "op": "scan",
-                "values": values,
-                "lengths": list(replica_set.lengths),
-                "normalized": normalized,
-            },
-            budget,
-            allow_partial,
-        )
-        degraded = set(missing)
-        scans_by_length = self._merge_scans(
-            [response["scans"] for _, response in available]
-        )
-        matches = await self._refine_with_fallback(
-            values, k, normalized, scans_by_length, budget, allow_partial,
-            degraded,
-        )
-        response = {"ok": True, "matches": matches}
-        return self._mark_degraded(response, degraded)
+    ) -> tuple[list[list[dict]], set[int]]:
+        """Answer ``Match = Any`` queries by walking the sweep across shards.
+
+        Every query visits its :func:`sweep_runs` in order. Per round
+        the unfinished queries are grouped by the shard of their next
+        step, one RPC per shard: a ``sweep`` of the next run, seeded
+        with the bound carried from the runs before, or — once a query
+        is out of runs without having been answered — a ``refine`` on
+        the owner of its best. A shard answers a query in place when its
+        sweep stops there, so most walks are one round.
+
+        With ``allow_partial`` a shard that cannot be reached is dropped
+        from every remaining walk of this request (returned as the
+        degraded set), and a query whose best it held starts over
+        without it.
+        """
+        self.metrics.record_any_length(queries=len(queries))
+
+        def start(values) -> _Walk:
+            # Malformed values go to some shard, whose validation words
+            # the error exactly as a single process would.
+            length = len(values) if isinstance(values, list) else 0
+            return _Walk(values, sweep_runs(self.shard_map, length))
+
+        walks = [start(values) for values in queries]
+        results: list = [None] * len(queries)
+        degraded: set[int] = set()
+        pending = list(range(len(queries)))
+        while pending:
+            steps: dict[tuple[int, str], list[int]] = {}
+            for index in pending:
+                walk = walks[index]
+                walk.runs = [run for run in walk.runs if run[0] not in degraded]
+                step = walk.step(self.shard_map)
+                if step is None:
+                    raise ValueError(_NO_REP_ERROR)
+                steps.setdefault(step, []).append(index)
+            calls = [
+                (
+                    shard,
+                    {
+                        "op": op,
+                        "k": k,
+                        "normalized": normalized,
+                        "jobs": [walks[index].job(op) for index in members],
+                    },
+                )
+                for (shard, op), members in steps.items()
+            ]
+            self.metrics.record_any_length(shard_rpcs=len(calls))
+            replies = await self._call_shards(calls, budget, allow_partial)
+            merge_started = time.perf_counter()
+            pending = []
+            for ((shard, op), members), reply in zip(
+                steps.items(), replies, strict=True
+            ):
+                if reply is None:
+                    degraded.add(shard)
+                    if op == "refine":
+                        for index in members:
+                            walks[index] = start(queries[index])
+                    pending.extend(members)
+                    continue
+                for index, result in zip(
+                    members, reply["results"], strict=True
+                ):
+                    if op == "refine":
+                        results[index] = result
+                    elif "matches" in result:
+                        results[index] = result["matches"]
+                    else:
+                        walk = walks[index]
+                        del walk.runs[0]
+                        if result:
+                            walk.best = (result["length"], result["scans"])
+                        pending.append(index)
+            self.metrics.stages["merge"].observe(
+                time.perf_counter() - merge_started
+            )
+        return results, degraded
 
     def _mark_degraded(self, response: dict, degraded: set[int]) -> dict:
         if degraded:
@@ -1134,104 +1169,6 @@ class ClusterRouter:
                 for length in self.shards[shard].lengths
             )
         return response
-
-    async def _query_any_batch(
-        self,
-        queries: list,
-        k: int,
-        normalized: bool,
-        budget: Budget | None,
-        allow_partial: bool,
-    ) -> dict:
-        available, missing = await self._scatter(
-            lambda replica_set: {
-                "op": "scan",
-                "queries": queries,
-                "lengths": list(replica_set.lengths),
-                "normalized": normalized,
-            },
-            budget,
-            allow_partial,
-        )
-        degraded = set(missing)
-        per_query_scans = [
-            self._merge_scans(
-                [response["scans_batch"][index] for _, response in available]
-            )
-            for index in range(len(queries))
-        ]
-        # jobs_by_shard: shard -> list of (query_index, job)
-        jobs_by_shard: dict[int, list[tuple[int, dict]]] = {}
-        for index, values in enumerate(queries):
-            winner = self._sweep(per_query_scans[index], len(values))
-            if winner is None:
-                raise ValueError(_NO_REP_ERROR)
-            best_length, best_scans = winner
-            jobs_by_shard.setdefault(
-                self.shard_map.owner(best_length), []
-            ).append(
-                (
-                    index,
-                    {
-                        "values": values,
-                        "length": best_length,
-                        "scans": best_scans,
-                        "k": k,
-                        "normalized": normalized,
-                    },
-                )
-            )
-        shard_indices = sorted(jobs_by_shard)
-        started = time.perf_counter()
-        try:
-            refined = await asyncio.gather(
-                *(
-                    self.shards[shard].call(
-                        {
-                            "op": "refine",
-                            "jobs": [job for _, job in jobs_by_shard[shard]],
-                        },
-                        budget,
-                    )
-                    for shard in shard_indices
-                ),
-                return_exceptions=True,
-            )
-        finally:
-            self.metrics.stages["shard_compute"].observe(
-                time.perf_counter() - started
-            )
-        merge_started = time.perf_counter()
-        results: list = [None] * len(queries)
-        fallback: list[int] = []
-        for shard, response in zip(shard_indices, refined, strict=True):
-            if isinstance(response, ShardUnavailable):
-                if not allow_partial:
-                    raise response
-                degraded.add(shard)
-                fallback.extend(index for index, _ in jobs_by_shard[shard])
-                continue
-            if isinstance(response, BaseException):
-                raise response
-            if not response.get("ok"):
-                raise ValueError(response.get("error", "refine failed"))
-            for (index, _), matches in zip(
-                jobs_by_shard[shard], response["results"], strict=True
-            ):
-                results[index] = matches
-        self.metrics.stages["merge"].observe(
-            time.perf_counter() - merge_started
-        )
-        for index in fallback:
-            for shard in sorted(degraded):
-                for length in self.shards[shard].lengths:
-                    per_query_scans[index].pop(length, None)
-            results[index] = await self._refine_with_fallback(
-                queries[index], k, normalized, per_query_scans[index],
-                budget, allow_partial, degraded,
-            )
-        response = {"ok": True, "results": results}
-        return self._mark_degraded(response, degraded)
 
     # ------------------------------------------------------------------
     # within
@@ -1256,8 +1193,8 @@ class ClusterRouter:
             # An unindexed length must raise the single-process error;
             # let shard 0's core validation produce it verbatim.
             return await self._forward(0, request, budget)
-        fan_out = [
-            (replica_set, owned)
+        calls = [
+            (replica_set.shard_index, {**base, "lengths": owned})
             for replica_set in self.shards
             for owned in [
                 list(replica_set.lengths)
@@ -1266,35 +1203,16 @@ class ClusterRouter:
             ]
             if owned
         ]
-        started = time.perf_counter()
-        try:
-            outcomes = await asyncio.gather(
-                *(
-                    replica_set.call({**base, "lengths": owned}, budget)
-                    for replica_set, owned in fan_out
-                ),
-                return_exceptions=True,
-            )
-        finally:
-            self.metrics.stages["shard_compute"].observe(
-                time.perf_counter() - started
-            )
-        responses = []
-        degraded: set[int] = set()
-        for (replica_set, _), outcome in zip(fan_out, outcomes, strict=True):
-            if isinstance(outcome, ShardUnavailable):
-                if not allow_partial:
-                    raise outcome
-                degraded.add(replica_set.shard_index)
-                continue
-            if isinstance(outcome, BaseException):
-                raise outcome
-            responses.append(outcome)
-        for response in responses:
-            if not response.get("ok"):
-                raise ValueError(response.get("error", "within failed"))
+        replies = await self._call_shards(calls, budget, allow_partial)
+        degraded = {
+            shard
+            for (shard, _), reply in zip(calls, replies, strict=True)
+            if reply is None
+        }
         merge_started = time.perf_counter()
-        merged = merge_within([response["matches"] for response in responses])
+        merged = merge_within(
+            [reply["matches"] for reply in replies if reply is not None]
+        )
         self.metrics.stages["merge"].observe(
             time.perf_counter() - merge_started
         )
@@ -1430,10 +1348,19 @@ class ClusterRouter:
         async def handle(reader: asyncio.StreamReader, writer) -> None:
             try:
                 while True:
-                    line = await reader.readline()
-                    if not line:
+                    line = await _read_frame(reader)
+                    if line is None:
+                        response = json.dumps(
+                            {
+                                "ok": False,
+                                "error": f"request line over {_LINE_LIMIT} bytes",
+                                "code": "frame_too_large",
+                            }
+                        )
+                    elif not line:
                         break
-                    response = await self.process_line(line.decode())
+                    else:
+                        response = await self.process_line(line.decode())
                     if response is not None:
                         writer.write((response + "\n").encode())
                         await writer.drain()
@@ -1442,7 +1369,9 @@ class ClusterRouter:
                 with contextlib.suppress(Exception):
                     await writer.wait_closed()
 
-        server = await asyncio.start_server(handle, host, port)
+        server = await asyncio.start_server(
+            handle, host, port, limit=_LINE_LIMIT
+        )
         address = ", ".join(
             str(sock.getsockname()) for sock in server.sockets
         )

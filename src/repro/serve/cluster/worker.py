@@ -6,15 +6,19 @@ every other shard but only ever hydrates the buckets it owns, so N
 workers cost one index's worth of page cache plus N small hydrated
 slices. It speaks the same JSON-lines protocol as ``onex serve`` (all
 standard ops are delegated to :func:`repro.serve.server.respond`), plus
-four cluster-internal ops:
+five cluster-internal ops:
 
-``scan``
-    Open-bound representative scans of the owned lengths for one query
-    (``values``) or a batch (``queries``) — the shard half of the §5.3
-    sweep the router replays.
+``sweep``
+    One segment of the §5.3 length sweep per job ``{values, run, bound,
+    last}``: visit the lengths of ``run`` in order, seeded with the
+    best-so-far ``bound`` (``null`` for none). A job whose sweep stops
+    in the run (a representative within ``ST/2``), or whose ``last`` run
+    holds the best, is refined in place and answers ``{matches}``;
+    otherwise it answers the carry ``{length, scans}`` (``{}`` when
+    nothing in the run beats the bound).
 ``refine``
-    A list of refinement jobs ``{values, length, scans, k}`` for
-    lengths this shard won; returns serialized matches per job.
+    A list of refinement jobs ``{values, length, scans}`` for lengths
+    this shard holds the best of; returns serialized matches per job.
 ``shard_info``
     Lightweight stats over the owned lengths only (never hydrates
     foreign buckets, unlike the full ``info`` op).
@@ -53,34 +57,43 @@ def handle_worker_request(
 ) -> dict:
     """Dispatch one request, cluster-internal ops first."""
     op = request.get("op")
-    if op == "scan":
-        kwargs = {"normalized": bool(request.get("normalized", True))}
-        owned = request.get("lengths", lengths)
-        if "queries" in request:
-            batch = [
-                {
-                    str(length): scans
-                    for length, scans in service.scan(
-                        values, owned, **kwargs
-                    ).items()
-                }
-                for values in request["queries"]
-            ]
-            return {"ok": True, "scans_batch": batch}
-        scans = service.scan(request["values"], owned, **kwargs)
-        return {
-            "ok": True,
-            "scans": {str(length): result for length, result in scans.items()},
-        }
+    if op == "sweep":
+        jobs = request["jobs"]
+        k = int(request.get("k", 1))
+        normalized = bool(request.get("normalized", True))
+        outcomes = service.sweep(
+            [job["values"] for job in jobs],
+            [job["run"] for job in jobs],
+            [job.get("bound") for job in jobs],
+            normalized=normalized,
+        )
+        results = []
+        for job, outcome in zip(jobs, outcomes, strict=True):
+            if not outcome:
+                results.append({})
+                continue
+            length, scans, stopped = outcome
+            if stopped or job.get("last"):
+                matches = service.refine(
+                    job["values"], length, scans, k=k, normalized=normalized
+                )
+                results.append(
+                    {"matches": [match_to_dict(match) for match in matches]}
+                )
+            else:
+                results.append({"length": length, "scans": scans})
+        return {"ok": True, "results": results}
     if op == "refine":
+        k = int(request.get("k", 1))
+        normalized = bool(request.get("normalized", True))
         results = []
         for job in request["jobs"]:
             matches = service.refine(
                 job["values"],
                 int(job["length"]),
                 [tuple(scan) for scan in job["scans"]],
-                k=int(job.get("k", 1)),
-                normalized=bool(job.get("normalized", True)),
+                k=k,
+                normalized=normalized,
             )
             results.append([match_to_dict(match) for match in matches])
         return {"ok": True, "results": results}

@@ -218,7 +218,7 @@ class OnexService:
         return matches
 
     # ------------------------------------------------------------------
-    # Cluster scatter-gather primitives (see repro.serve.cluster)
+    # Cluster primitives (see repro.serve.cluster)
     # ------------------------------------------------------------------
     def scan(
         self,
@@ -229,9 +229,8 @@ class OnexService:
         """Open-bound representative scans of ``lengths`` for one query.
 
         Returns ``{length: [(group_index, dtw_raw, dtw_normalized),
-        ...]}`` — the shard worker's half of a ``Match = Any`` query.
-        Each length's scan is cached independently, so a repeated query
-        costs one dict lookup per owned length.
+        ...]}``. Each length's scan is cached independently, so a
+        repeated query costs one dict lookup per length.
         """
         values = self._prepare(values, normalized)
         result: dict[int, list[tuple[int, float, float]]] = {}
@@ -252,6 +251,64 @@ class OnexService:
             result[length] = list(cached)
         return result
 
+    def sweep(
+        self,
+        queries: Sequence[np.ndarray],
+        runs: Sequence[Sequence[int]],
+        bounds: Sequence[float | None],
+        normalized: bool = True,
+    ) -> list[tuple]:
+        """One segment of each query's §5.3 sweep (see the cluster router).
+
+        Query ``i`` visits the lengths of ``runs[i]`` in order, seeded
+        with the best-so-far ``bounds[i]`` (``None`` for none). Returns
+        per query ``(length, scans, stopped)`` — the selected length,
+        its scans as :meth:`scan` would list them, and whether the sweep
+        ends here (a representative within ``ST/2``) — or ``()`` when
+        nothing in the run beats the bound. Queries of equal length
+        sharing a run are scanned as one stack; outcomes are cached per
+        query, so a repeated query examines no representative.
+        """
+        prepared = [self._prepare(values, normalized) for values in queries]
+        runs = [tuple(int(length) for length in run) for run in runs]
+        keys = [
+            ResultCache.make_key(
+                values, kind="sweep", run=run, bound=bound, st=self.index.st
+            )
+            for values, run, bound in zip(prepared, runs, bounds, strict=True)
+        ]
+        outcomes = [self.cache.get(key) for key in keys]
+        stacks: dict[tuple, list[int]] = {}
+        for i, outcome in enumerate(outcomes):
+            if outcome is None:
+                stacks.setdefault((prepared[i].shape[0], runs[i]), []).append(i)
+        processor = self.index.processor
+        for (_, run), members in stacks.items():
+            processor.last_stats = QueryStats()
+            selected = processor.assign_buckets_stacked(
+                np.stack([prepared[i] for i in members]),
+                lengths=run,
+                bounds=[
+                    np.inf if bounds[i] is None else bounds[i] for i in members
+                ],
+            )
+            self._absorb_query_stats()
+            for i, selection in zip(members, selected, strict=True):
+                outcome = ()
+                if selection is not None:
+                    bucket, scans = selection
+                    outcome = (
+                        bucket.length,
+                        tuple(
+                            (scan.group_index, scan.dtw_raw, scan.dtw_normalized)
+                            for scan in scans
+                        ),
+                        scans[0].dtw_normalized <= self.index.st / 2.0,
+                    )
+                self.cache.put(keys[i], outcome)
+                outcomes[i] = outcome
+        return outcomes
+
     def refine(
         self,
         values: np.ndarray,
@@ -260,12 +317,12 @@ class OnexService:
         k: int = 1,
         normalized: bool = True,
     ) -> list[Match]:
-        """In-group refinement for a sweep the router already replayed.
+        """In-group refinement of the length a sweep selected.
 
-        ``scans`` is the winning length's scan list exactly as
-        :meth:`scan` returned it; the answer is exactly what
-        :meth:`query` would return for this query when the §5.3 sweep
-        selects ``length``.
+        ``scans`` is the selected length's scan list exactly as
+        :meth:`sweep` (or :meth:`scan`) returned it; the answer is
+        exactly what :meth:`query` would return for this query when the
+        §5.3 sweep selects ``length``.
         """
         values = self._prepare(values, normalized)
         scan_objs = [

@@ -11,6 +11,7 @@ import asyncio
 import json
 import os
 import signal
+import socket
 
 import numpy as np
 import pytest
@@ -27,15 +28,16 @@ from repro.serve.cluster.router import (
     DeadlineExceeded,
     ShardUnavailable,
     merge_within,
-    replay_sweep,
     respawn_delay,
+    sweep_runs,
 )
 from repro.serve.cluster.shardmap import (
+    ShardMap,
     assign_replicas,
     compute_shard_map,
     shard_map_from_manifest,
 )
-from repro.serve.server import handle_request, respond
+from repro.serve.server import handle_request, match_to_dict, respond
 from repro.serve.service import OnexService
 
 
@@ -211,27 +213,18 @@ class TestMetrics:
 # Pure merge helpers
 # ----------------------------------------------------------------------
 class TestMergeHelpers:
-    def test_replay_sweep_prefers_strictly_better(self):
-        scans = {
-            10: [(0, 2.0, 0.5)],
-            20: [(1, 1.0, 0.2)],
-        }
-        winner = replay_sweep(scans, [10, 20], 12, st=0.1)
-        assert winner == (20, [(1, 1.0, 0.2)])
-
-    def test_replay_sweep_stops_at_half_st(self):
-        # Sweep from 10 upward: 10 already satisfies ST/2, so 20 (which
-        # is closer in distance) must never be visited — exactly the
-        # single-process stop-at-half-ST behaviour.
-        scans = {
-            10: [(0, 2.0, 0.04)],
-            20: [(1, 1.0, 0.01)],
-        }
-        winner = replay_sweep(scans, [10, 20], 10, st=0.1)
-        assert winner == (10, [(0, 2.0, 0.04)])
-
-    def test_replay_sweep_no_reachable(self):
-        assert replay_sweep({10: []}, [10], 10, st=0.2) is None
+    def test_sweep_runs_cut_the_order_at_shard_boundaries(self):
+        shard_map = ShardMap("test", ((6, 12), (18, 24), (30,)), (2, 2, 1))
+        # Order for a query of 19: 18, 12, 6, then 24, 30.
+        assert sweep_runs(shard_map, 19) == [
+            (1, [18]),
+            (0, [12, 6]),
+            (1, [24]),
+            (2, [30]),
+        ]
+        # From either end the order never returns to a shard.
+        assert sweep_runs(shard_map, 3) == [(0, [6, 12]), (1, [18, 24]), (2, [30])]
+        assert sweep_runs(shard_map, 99) == [(2, [30]), (1, [24, 18]), (0, [12, 6])]
 
     def test_merge_within_reproduces_stable_order(self):
         shard0 = [
@@ -426,8 +419,8 @@ class TestRespond:
 # ----------------------------------------------------------------------
 # Service-level scatter/gather primitives (no subprocesses)
 # ----------------------------------------------------------------------
-class TestScanRefine:
-    def test_scan_refine_matches_query(self, single_service):
+class TestSweepRefine:
+    def test_chained_sweeps_then_refine_match_query(self, single_service):
         from repro.core.rspace import search_length_order
 
         service = single_service
@@ -436,23 +429,36 @@ class TestScanRefine:
         for query_length in (lengths[0], lengths[0] + 3, lengths[-1]):
             values = rng.random(query_length) * 0.8 + 0.1
             direct = service.query(values, k=2)
-            scans_by_length = service.scan(values, lengths)
-            winner = replay_sweep(
-                {
-                    length: scans
-                    for length, scans in scans_by_length.items()
-                },
-                lengths,
-                query_length,
-                service.index.st,
-            )
-            assert winner is not None
-            routed = service.refine(values, winner[0], winner[1], k=2)
+            order = search_length_order(lengths, query_length)
+            best = None
+            for run in (order[:1], order[1:3], order[3:]):
+                bound = None if best is None else best[1][0][2]
+                (outcome,) = service.sweep([values], [run], [bound])
+                if outcome:
+                    best = outcome
+                    if outcome[2]:
+                        break
+            assert best is not None
+            routed = service.refine(values, best[0], best[1], k=2)
             assert [
                 (m.ssid, m.dtw, m.dtw_normalized, m.group) for m in direct
             ] == [
                 (m.ssid, m.dtw, m.dtw_normalized, m.group) for m in routed
             ]
+
+    def test_repeated_sweep_is_a_cache_hit(self, single_service):
+        service = single_service
+        values = np.linspace(0.15, 0.85, 10)
+        run = service.index.rspace.lengths[:2]
+        first = service.sweep([values], [run], [None])
+        before = service.shard_info()
+        assert service.sweep([values], [run], [None]) == first
+        after = service.shard_info()
+        assert after["cache"]["hits"] == before["cache"]["hits"] + 1
+        assert after["query_stats"] == before["query_stats"]
+        # Another bound is another sweep.
+        service.sweep([values], [run], [1e-9])
+        assert service.shard_info()["cache"]["hits"] == after["cache"]["hits"]
 
     def test_within_lengths_partition_merges(self, single_service):
         service = single_service
@@ -560,6 +566,80 @@ class TestClusterEndToEnd:
         assert response["ok"], response
         assert json.dumps(response, sort_keys=True) == expected
         assert metrics["failovers"] == 0 and metrics["retries"] == 0
+
+    def test_tcp_front_frames_over_64k_and_merged_evictions(
+        self, v3_path, single_service, monkeypatch
+    ):
+        """Bugfix regressions: a request line over asyncio's default 64 KiB
+        limit used to kill the connection handler (no reply); a line over
+        the front's own limit is answered, not reset. Also: the merged
+        ``cache.evictions`` is the per-shard sum (it used to read 0)."""
+        from repro.serve.cluster import router as router_module
+
+        rng = np.random.default_rng(8)
+        batch = {
+            "op": "query",
+            "queries": [
+                [float(v) for v in rng.random(24) * 0.8 + 0.1] for _ in range(240)
+            ],
+            "length": 24,
+            "id": "wide",
+        }
+        wide = json.dumps(batch)
+        assert 100 * 1024 < len(wide) < 200 * 1024
+        expected = json.dumps(respond(single_service, dict(batch)), sort_keys=True)
+        # Tested with a 256 KiB limit so the over-limit frame stays small.
+        monkeypatch.setattr(router_module, "_LINE_LIMIT", 256 * 1024)
+        with socket.socket() as probe:
+            probe.bind(("127.0.0.1", 0))
+            port = probe.getsockname()[1]
+
+        async def run():
+            router = ClusterRouter(
+                v3_path, n_shards=2, ping_interval=30, cache_size=2
+            )
+            await router.start()
+            server = asyncio.create_task(router.serve_tcp("127.0.0.1", port))
+            try:
+                for _ in range(200):
+                    try:
+                        reader, writer = await asyncio.open_connection(
+                            "127.0.0.1", port, limit=2**24
+                        )
+                        break
+                    except OSError:
+                        await asyncio.sleep(0.02)
+
+                async def roundtrip(line: str) -> dict:
+                    writer.write(line.encode() + b"\n")
+                    await writer.drain()
+                    return json.loads(
+                        await asyncio.wait_for(reader.readline(), 60)
+                    )
+
+                answered = await roundtrip(wide)
+                oversized = await roundtrip("x" * (300 * 1024))
+                alive = await roundtrip('{"op": "ping"}')
+                for length in (7, 8, 13, 14, 19, 20):
+                    assert (
+                        await roundtrip(
+                            json.dumps({"op": "query", "values": [0.3] * length})
+                        )
+                    )["ok"]
+                metrics = (await roundtrip('{"op": "metrics"}'))["metrics"]
+                writer.close()
+            finally:
+                server.cancel()
+                await server  # serve_tcp drains on cancellation
+            return answered, oversized, alive, metrics
+
+        answered, oversized, alive, metrics = _run(run())
+        assert json.dumps(answered, sort_keys=True) == expected
+        assert oversized["ok"] is False
+        assert oversized["code"] == "frame_too_large"
+        assert alive == {"ok": True, "pong": True}
+        per_shard = [info["cache"]["evictions"] for info in metrics["per_shard"]]
+        assert metrics["cache"]["evictions"] == sum(per_shard) > 0
 
     def test_backpressure_rejects_instead_of_buffering(self, v3_path):
         async def run():
@@ -808,10 +888,12 @@ class TestReplicatedCluster:
         # shard still has a live replica answering.
         assert health["health"]["status"] == "degraded"
 
-    def test_kill_replica_mid_scatter_client_sees_success(
+    def test_kill_replica_mid_sweep_client_sees_success(
         self, v3_path, single_service
     ):
-        probe = {"op": "query", "values": [0.4] * 10, "id": "mid"}
+        # Seven points: the sweep starts at the smallest length, which
+        # shard 0 owns, so the probe's first RPC goes to the victim.
+        probe = {"op": "query", "values": [0.4] * 7, "id": "mid"}
         expected = json.dumps(
             respond(single_service, dict(probe)), sort_keys=True
         )
@@ -827,8 +909,9 @@ class TestReplicatedCluster:
             )
             await router.start()
             try:
+                assert sweep_runs(router.shard_map, 7)[0][0] == 0
                 # Hold replica 0 of shard 0 busy via the direct path,
-                # then kill it mid-request: the scatter in flight on it
+                # then kill it mid-request: the sweep in flight on it
                 # must fail over to replica 1 invisibly.
                 sleeper = asyncio.create_task(
                     router.process_request(
@@ -998,3 +1081,298 @@ class TestReplicatedCluster:
         assert query_partial["matches"]  # re-swept over live lengths
         assert degraded_count >= 2
         assert health["health"]["status"] == "unavailable"
+
+
+# ----------------------------------------------------------------------
+# The segmented §5.3 sweep: walks, carried bounds, degraded semantics
+# ----------------------------------------------------------------------
+_SWEEP_GRID = [6, 9, 12, 15, 18, 24]
+
+
+@pytest.fixture(scope="module")
+def sweep_indexes(small_dataset, tmp_path_factory) -> dict:
+    """``{st: (v3 path, loaded index)}``; at ST 0.02 hardly any
+    representative is within ST/2 of a random query, so sweeps cross
+    every run."""
+    indexes = {}
+    for st in (0.2, 0.02):
+        index = OnexIndex.build(
+            small_dataset, st=st, lengths=_SWEEP_GRID, normalize=False, seed=0
+        )
+        path = str(tmp_path_factory.mktemp("sweep") / "index_v3")
+        save_index(index, path)
+        indexes[st] = (path, OnexIndex.load(path))
+    return indexes
+
+
+def _random_query(rng, length: int) -> np.ndarray:
+    return rng.random(int(length)) * 0.8 + 0.1
+
+
+def _library_answer(index, values, k: int) -> tuple[list[dict], int, int]:
+    """``OnexIndex.query`` as the wire would carry it, plus its work."""
+    matches = [match_to_dict(m) for m in index.query(values, k=k)]
+    stats = index.processor.last_stats
+    return matches, stats.lengths_visited, stats.reps_examined
+
+
+def _restricted_answer(index, values, k: int, dead_lengths) -> list[dict]:
+    """The in-process sweep skipping ``dead_lengths``."""
+    query = np.asarray(values, dtype=np.float64)
+    order = [
+        length
+        for length in index.rspace.search_length_order(len(query))
+        if length not in dead_lengths
+    ]
+    processor = index.processor
+    ((bucket, scans),) = processor.assign_buckets_stacked(
+        query[None, :], lengths=order
+    )
+    return [
+        match_to_dict(m) for m in processor.search_groups(bucket, scans, query, k)
+    ]
+
+
+def _count_shard_ops(router) -> dict:
+    """Count RPCs per ``(shard, op)`` the way the perf ledger traces them."""
+    counts: dict = {}
+
+    def counted(replica_set, call):
+        def wrapper(payload, budget=None):
+            key = (replica_set.shard_index, payload["op"])
+            counts[key] = counts.get(key, 0) + 1
+            return call(payload, budget)
+
+        return wrapper
+
+    for replica_set in router.shards:
+        replica_set.call = counted(replica_set, replica_set.call)
+    return counts
+
+
+class TestSegmentedSweep:
+    @pytest.mark.parametrize("st", [0.2, 0.02])
+    @pytest.mark.parametrize("n_shards", [2, 3])
+    def test_walk_equals_in_process_sweep(self, sweep_indexes, n_shards, st):
+        path, index = sweep_indexes[st]
+        grid = index.rspace.lengths
+        rng = np.random.default_rng(n_shards)
+        # Shorter than the smallest, longer than the largest, on-grid,
+        # and a random spread of on- and off-grid lengths.
+        query_lengths = [3, 30, grid[0], grid[-1], int(rng.choice(grid))]
+        query_lengths += rng.integers(4, 28, size=7).tolist()
+        requests, expected = [], []
+        lengths_visited = reps_examined = 0
+        for length in query_lengths:
+            for k in (1, 3):
+                values = _random_query(rng, length)
+                matches, visited, examined = _library_answer(index, values, k)
+                lengths_visited += visited
+                reps_examined += examined
+                requests.append({"op": "query", "values": values.tolist(), "k": k})
+                expected.append({"ok": True, "matches": matches})
+        batch = [_random_query(rng, n) for n in rng.integers(4, 28, size=16)]
+        batch_expected = []
+        for values in batch:
+            matches, visited, examined = _library_answer(index, values, 2)
+            lengths_visited += visited
+            reps_examined += examined
+            batch_expected.append(matches)
+
+        async def run():
+            router = ClusterRouter(path, n_shards=n_shards, ping_interval=30)
+            await router.start()
+            try:
+                answers = [
+                    await router.process_request(dict(request))
+                    for request in requests
+                ]
+                singles = (await router.process_request({"op": "metrics"}))["metrics"]
+                counts = _count_shard_ops(router)
+                batch_answer = await router.process_request(
+                    {
+                        "op": "query",
+                        "queries": [values.tolist() for values in batch],
+                        "k": 2,
+                    }
+                )
+                ops = dict(counts)
+                cold = (await router.process_request({"op": "metrics"}))["metrics"]
+                # (d) a repeat is answered from the worker's cache.
+                repeat = await router.process_request(dict(requests[0]))
+                warm = (await router.process_request({"op": "metrics"}))["metrics"]
+                max_runs = max(
+                    len(sweep_runs(router.shard_map, len(values)))
+                    for values in batch
+                )
+            finally:
+                await router.drain()
+            return answers, singles, ops, batch_answer, cold, repeat, warm, max_runs
+
+        answers, singles, ops, batch_answer, cold, repeat, warm, max_runs = _run(
+            run()
+        )
+        assert answers == expected
+        assert batch_answer == {"ok": True, "results": batch_expected}
+        # Same function, same order, same bounds: the work is equal too.
+        assert cold["query_stats"]["lengths_visited"] == lengths_visited
+        assert cold["query_stats"]["reps_examined"] == reps_examined
+        assert singles["any_length_queries"] == len(requests)
+        assert cold["any_length_queries"] == len(requests) + len(batch)
+        if st == 0.2:
+            # Every sweep stops in its first run: one RPC, one length.
+            assert singles["any_length_shard_rpcs"] == len(requests)
+            assert lengths_visited == len(requests) + len(batch)
+            assert not any(op == "refine" for _, op in ops)
+        else:
+            # Most sweeps visit every length, crossing every run.
+            assert singles["any_length_shard_rpcs"] > 2 * len(requests)
+            assert lengths_visited > 5 * (len(requests) + len(batch))
+        # (c) a batch round is at most one sweep RPC per shard.
+        assert {op for _, op in ops} <= {"sweep", "refine"}
+        assert all(count <= max_runs for count in ops.values()), ops
+        assert repeat == expected[0]
+        assert warm["cache"]["hits"] > cold["cache"]["hits"]
+        assert warm["query_stats"] == cold["query_stats"]
+
+    @pytest.mark.parametrize("st", [0.2, 0.02])
+    def test_allow_partial_names_only_shards_the_sweep_needed(
+        self, sweep_indexes, st
+    ):
+        path, index = sweep_indexes[st]
+        rng = np.random.default_rng(21)
+        low, high = _random_query(rng, 7), _random_query(rng, 23)
+
+        async def run():
+            router = ClusterRouter(
+                path, n_shards=2, n_replicas=1, ping_interval=30
+            )
+            await router.start()
+            try:
+                dead = list(router.shards[1].lengths)
+                assert sweep_runs(router.shard_map, 7)[0][0] == 0
+                assert sweep_runs(router.shard_map, 23)[0][0] == 1
+                _stop_forever(router.shards[1].replicas[0])
+                for _ in range(200):
+                    if not router.shards[1].replicas[0].alive:
+                        break
+                    await asyncio.sleep(0.02)
+                answers = [
+                    await router.process_request(
+                        {
+                            "op": "query",
+                            "values": values.tolist(),
+                            "k": 2,
+                            "allow_partial": True,
+                        }
+                    )
+                    for values in (low, high)
+                ]
+                batch = await router.process_request(
+                    {
+                        "op": "query",
+                        "queries": [low.tolist(), high.tolist()],
+                        "k": 3,
+                        "allow_partial": True,
+                    }
+                )
+                strict = await router.process_request(
+                    {"op": "query", "values": high.tolist(), "id": "s"}
+                )
+            finally:
+                await router.drain()
+            return dead, answers, batch, strict
+
+        dead, (from_low, from_high), batch, strict = _run(run())
+        degraded = {
+            "degraded": True,
+            "missing_shards": [1],
+            "missing_lengths": dead,
+        }
+        assert from_high == {
+            "ok": True,
+            "matches": _restricted_answer(index, high, 2, dead),
+            **degraded,
+        }
+        _, visited, _ = _library_answer(index, low, 2)
+        if visited == 1:
+            # The sweep stopped on shard 0: the dead shard is none of
+            # this query's business.
+            assert from_low == {
+                "ok": True,
+                "matches": _library_answer(index, low, 2)[0],
+            }
+        else:
+            assert from_low == {
+                "ok": True,
+                "matches": _restricted_answer(index, low, 2, dead),
+                **degraded,
+            }
+        assert batch == {
+            "ok": True,
+            "results": [
+                _restricted_answer(index, values, 3, dead)
+                for values in (low, high)
+            ],
+            **degraded,
+        }
+        assert strict["code"] == "shard_unavailable" and strict["id"] == "s"
+
+    def test_holder_of_the_best_dies_before_refine(self, sweep_indexes):
+        """The carry names a length whose shard then loses its last
+        replica: the walk starts over without that shard's lengths."""
+        path, index = sweep_indexes[0.02]
+        rng = np.random.default_rng(4)
+
+        async def run():
+            router = ClusterRouter(
+                path, n_shards=3, n_replicas=1, ping_interval=30
+            )
+            await router.start()
+            try:
+                # A query whose best is not in its last run, so the walk
+                # ends with a refine RPC to the holder.
+                for _ in range(50):
+                    values = _random_query(rng, rng.integers(4, 28))
+                    runs = sweep_runs(router.shard_map, len(values))
+                    ((bucket, _),) = index.processor.assign_buckets_stacked(
+                        values[None, :]
+                    )
+                    if bucket.length not in runs[-1][1]:
+                        break
+                else:
+                    raise AssertionError("no query ends with a refine")
+                holder = router.shards[router.shard_map.owner(bucket.length)]
+                call = holder.call
+                sweeps_before_refine = []
+
+                async def dying(payload, budget=None):
+                    if payload["op"] == "sweep" and holder.replicas[0].alive:
+                        sweeps_before_refine.append(payload)
+                    if payload["op"] == "refine":
+                        _stop_forever(holder.replicas[0])
+                        while holder.replicas[0].alive:
+                            await asyncio.sleep(0.02)
+                    return await call(payload, budget)
+
+                holder.call = dying
+                request = {"op": "query", "values": values.tolist(), "k": 2}
+                partial = await router.process_request(
+                    {**request, "allow_partial": True}
+                )
+                assert sweeps_before_refine and not holder.replicas[0].alive
+                strict = await router.process_request(dict(request))
+            finally:
+                await router.drain()
+            return values, holder, strict, partial
+
+        values, holder, strict, partial = _run(run())
+        assert strict["code"] == "shard_unavailable"
+        dead = list(holder.lengths)
+        assert partial == {
+            "ok": True,
+            "matches": _restricted_answer(index, values, 2, dead),
+            "degraded": True,
+            "missing_shards": [holder.shard_index],
+            "missing_lengths": dead,
+        }

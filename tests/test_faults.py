@@ -70,11 +70,11 @@ class TestFaultInjector:
 
     def test_match_consumes_charges_and_disarms(self):
         injector = FaultInjector(enabled=True)
-        injector.arm("drop", ops=["scan"], count=2)
+        injector.arm("drop", ops=["sweep"], count=2)
         assert injector.match("refine") is None  # op filter
-        assert injector.match("scan").kind == "drop"
-        assert injector.match("scan").kind == "drop"
-        assert injector.match("scan") is None  # charges spent
+        assert injector.match("sweep").kind == "drop"
+        assert injector.match("sweep").kind == "drop"
+        assert injector.match("sweep") is None  # charges spent
         assert injector.list_faults() == []
 
     def test_control_channel_never_matches(self):
@@ -150,7 +150,7 @@ class TestChaosDrills:
             )
             await router.start()
             try:
-                await _arm(router, 0, 0, kind="die", ops=["scan"])
+                await _arm(router, 0, 0, kind="die", ops=["sweep"])
                 answered = await router.process_request(dict(probe))
                 failovers = router.metrics.failovers
                 retries = router.metrics.retries
@@ -181,7 +181,7 @@ class TestChaosDrills:
             await router.start()
             try:
                 await _arm(
-                    router, 0, 0, kind="delay", ops=["scan"], delay_ms=3_000
+                    router, 0, 0, kind="delay", ops=["sweep"], delay_ms=3_000
                 )
                 answered = await router.process_request(dict(probe))
                 timeouts = router.metrics.to_dict()["replica_timeouts"]
@@ -214,7 +214,7 @@ class TestChaosDrills:
             )
             await router.start()
             try:
-                await _arm(router, 0, 0, kind=kind, ops=["scan"])
+                await _arm(router, 0, 0, kind=kind, ops=["sweep"])
                 answered = await router.process_request(
                     {**probe, "timeout_ms": 30_000}
                 )
@@ -252,7 +252,7 @@ class TestChaosDrills:
             probe = {"op": "query", "values": [0.5] * 7}
             try:
                 for _ in range(3):
-                    await _arm(router, 0, 0, kind="die", ops=["scan"])
+                    await _arm(router, 0, 0, kind="die", ops=["sweep"])
                     answered = await router.process_request(dict(probe))
                     assert answered["ok"], answered
                     # Wait for the respawn so the next round hits the
@@ -316,7 +316,7 @@ class TestChaosDrills:
             probe = {"op": "query", "values": [0.5] * 7}
             try:
                 for _ in range(3):
-                    await _arm(router, 0, 0, kind="die", ops=["scan"])
+                    await _arm(router, 0, 0, kind="die", ops=["sweep"])
                     answered = await router.process_request(dict(probe))
                     assert answered["ok"], answered
                     for _ in range(400):

@@ -19,7 +19,7 @@ import pytest
 
 import repro.core.rspace as rspace_module
 from repro.core.persistence import load_index, save_index
-from repro.core.query_processor import QueryProcessor
+from repro.core.query_processor import QueryProcessor, QueryStats
 from repro.exceptions import QueryError
 from repro.serve import (
     OnexService,
@@ -291,6 +291,75 @@ class TestStackedScan:
             )
             assert alone == [many[row]]
 
+    @pytest.mark.parametrize("n_probe", [1, 3])
+    @pytest.mark.parametrize("finite_seeds", [False, True])
+    @pytest.mark.parametrize("st", [0.2, 0.01])
+    @pytest.mark.parametrize("query_length", [12, 15])
+    def test_chained_segments_equal_whole_sweep(
+        self, small_index, n_probe, finite_seeds, st, query_length
+    ):
+        """The sweep cut into runs, each seeded with the best top so far,
+        selects what one call over the whole order selects (at ``st`` 0.01
+        nothing stops early, so every query crosses every cut)."""
+        processor = QueryProcessor(
+            small_index.rspace,
+            small_index.dataset,
+            st=st,
+            window=small_index.window,
+            n_probe=n_probe,
+        )
+        rng = np.random.default_rng(query_length)
+        queries = rng.random((6, query_length)) * 0.8 + 0.1
+        order = small_index.rspace.search_length_order(query_length)
+        seeds = np.full(len(queries), np.inf)
+        if finite_seeds:
+            # Around each query's own global best: some rows keep every
+            # probe, some lose all of them (a row of None). A carried
+            # bound is always above ST/2 — at or below it the sweep has
+            # stopped.
+            whole = processor.assign_buckets_stacked(queries, lengths=order)
+            factors = np.resize([1.0, 0.5, 2.0], len(queries))
+            seeds = np.array([s[1][0].dtw_normalized for s in whole]) * factors
+            seeds = np.maximum(seeds, np.nextafter(st / 2.0, np.inf))
+
+        def selection(selected):
+            return [
+                None if s is None else (s[0].length, s[1]) for s in selected
+            ]
+
+        processor.last_stats = QueryStats()
+        whole = selection(
+            processor.assign_buckets_stacked(queries, lengths=order, bounds=seeds)
+        )
+        whole_stats = processor.last_stats
+        if not finite_seeds:
+            processor.last_stats = QueryStats()
+            assert whole == selection(processor.assign_buckets_stacked(queries))
+            assert processor.last_stats == whole_stats
+
+        for cuts in ([1], [2], [1, 3], [1, 2, 3]):
+            processor.last_stats = QueryStats()
+            best = [None] * len(queries)
+            bounds = seeds.copy()
+            active = list(range(len(queries)))
+            for run in np.split(np.array(order), cuts):
+                if not active:
+                    break
+                selected = processor.assign_buckets_stacked(
+                    queries[active], lengths=run.tolist(), bounds=bounds[active]
+                )
+                still_active = []
+                for q, chosen in zip(active, selection(selected), strict=True):
+                    if chosen is not None:
+                        best[q] = chosen
+                        bounds[q] = chosen[1][0].dtw_normalized
+                        if bounds[q] <= st / 2.0:
+                            continue
+                    still_active.append(q)
+                active = still_active
+            assert best == whole
+            assert processor.last_stats == whole_stats
+
     def test_seeded_bounds_prune_like_per_query(self, small_index, workload):
         processor = small_index.processor
         bucket = small_index.rspace.bucket(12)
@@ -332,6 +401,12 @@ class TestResultCache:
         cache.put(keys[0], 0)
         cache.put(keys[1], 1)
         assert cache.get(keys[0]) == 0  # refresh 0: now 1 is least recent
+        assert cache.stats["evictions"] == 0
+        cache.put(keys[2], 2)
+        assert cache.stats["evictions"] == 1
+        cache.put(keys[2], 3)  # overwriting in place evicts nothing
+        assert cache.stats["evictions"] == 1
+        assert cache.get(keys[2]) == 3
         cache.put(keys[2], 2)
         assert cache.get(keys[1]) is None
         assert cache.get(keys[0]) == 0
@@ -432,6 +507,7 @@ class TestOnexService:
         assert set(info["cache"]) == {
             "hits",
             "misses",
+            "evictions",
             "entries",
             "capacity",
             "bytes",
@@ -488,7 +564,7 @@ class TestServeProtocol:
             "L",
         }
         info = self._roundtrip(service, {"op": "info"})
-        assert info["ok"] and "cache" in info["info"]
+        assert info["ok"] and info["info"]["cache"]["evictions"] == 0
 
     def test_errors_keep_loop_alive(self, service, workload):
         lines = [
