@@ -16,30 +16,36 @@ by running the ``benchmarks/`` suite — for the paper-versus-measured
 results.
 """
 
-from repro.core.onex import OnexIndex, default_length_grid
-from repro.core.results import (
-    BaseStats,
-    Match,
-    SeasonalGroup,
-    SeasonalResult,
-    ThresholdRecommendation,
-)
-from repro.core.spspace import SimilarityDegree
-from repro.data.dataset import Dataset
-from repro.data.timeseries import SubsequenceId, TimeSeries
-from repro.data.loader import load_ucr_file, save_ucr_file
-from repro.data.synthetic import make_dataset
-from repro.distances import (
-    dtw,
-    erp,
-    euclidean,
-    lcss_distance,
-    normalized_dtw,
-    normalized_euclidean,
-    pdtw,
-)
-from repro.exceptions import OnexError
-from repro.serve import OnexService
+from repro._lazy import lazy_exports
+
+_HOMES = {
+    "OnexIndex": "repro.core.onex",
+    "default_length_grid": "repro.core.onex",
+    "BaseStats": "repro.core.results",
+    "Match": "repro.core.results",
+    "SeasonalGroup": "repro.core.results",
+    "SeasonalResult": "repro.core.results",
+    "ThresholdRecommendation": "repro.core.results",
+    "SimilarityDegree": "repro.core.spspace",
+    "Dataset": "repro.data.dataset",
+    "TimeSeries": "repro.data.timeseries",
+    "SubsequenceId": "repro.data.timeseries",
+    "load_ucr_file": "repro.data.loader",
+    "save_ucr_file": "repro.data.loader",
+    "make_dataset": "repro.data.synthetic",
+    # Through the (eager) package, not the submodules: `dtw`, `erp` and
+    # `euclidean` are also submodule names there.
+    "dtw": "repro.distances",
+    "normalized_dtw": "repro.distances",
+    "euclidean": "repro.distances",
+    "normalized_euclidean": "repro.distances",
+    "pdtw": "repro.distances",
+    "lcss_distance": "repro.distances",
+    "erp": "repro.distances",
+    "OnexError": "repro.exceptions",
+    "OnexService": "repro.serve.service",
+}
+__getattr__, __dir__ = lazy_exports(globals(), _HOMES)
 
 __version__ = "1.0.0"
 

@@ -33,20 +33,30 @@ import argparse
 import os
 import sys
 from collections.abc import Sequence
+from typing import TYPE_CHECKING
 
-import numpy as np
+from repro.exceptions import OnexError, QueryError
 
-from repro.core.onex import OnexIndex
-from repro.core.results import Match, SeasonalResult, ThresholdRecommendation
-from repro.data.loader import load_ucr_file
-from repro.data.synthetic import DATASET_GENERATORS, make_dataset
-from repro.distances.backend import get_backend, set_backend
-from repro.exceptions import OnexError
-from repro.query.executor import QueryExecutor
+# A fresh process pays for every import before it answers, so each
+# handler imports what it runs (DESIGN.md §2, "import policy"; budgets
+# in tests/test_import_graph.py). Only annotations use these names.
+if TYPE_CHECKING:
+    import numpy as np
+
+    from repro.core.onex import OnexIndex
+    from repro.core.results import Match, SeasonalResult, ThresholdRecommendation
+
+
+def _load_index(path: str) -> OnexIndex:
+    from repro.core.onex import OnexIndex
+
+    return OnexIndex.load(path)
 
 
 def _read_sequence_file(path: str) -> np.ndarray:
     """Read a query sequence from a one-column (or comma-separated) file."""
+    import numpy as np
+
     values: list[float] = []
     with open(path, encoding="utf-8") as handle:
         for line in handle:
@@ -64,6 +74,10 @@ def _resolve_query_values(index: OnexIndex, args: argparse.Namespace) -> np.ndar
         return index.normalize_query(_read_sequence_file(args.csv))
     if args.series is None:
         raise OnexError("provide either --csv FILE or --series INDEX")
+    if not 0 <= args.series < len(index.dataset):
+        raise QueryError(
+            f"series index {args.series} out of range for N={len(index.dataset)}"
+        )
     series = index.dataset[args.series]
     start = args.start or 0
     length = args.length or (len(series) - start)
@@ -107,6 +121,8 @@ def _print_recommendations(recs: Sequence[ThresholdRecommendation]) -> None:
 # Subcommand handlers
 # ----------------------------------------------------------------------
 def _cmd_datasets(_: argparse.Namespace) -> int:
+    from repro.data.synthetic import DATASET_GENERATORS
+
     print("built-in synthetic datasets (UCR substitutes):")
     for name in DATASET_GENERATORS:
         print(f"  {name}")
@@ -114,11 +130,16 @@ def _cmd_datasets(_: argparse.Namespace) -> int:
 
 
 def _cmd_build(args: argparse.Namespace) -> int:
+    from repro.core.onex import OnexIndex
+    from repro.data.loader import load_ucr_file
+
     if args.ucr_file:
         dataset = load_ucr_file(args.ucr_file, name=args.dataset or "")
     else:
         if not args.dataset:
             raise OnexError("provide --dataset NAME or --ucr-file FILE")
+        from repro.data.synthetic import make_dataset
+
         kwargs = {}
         if args.n_series:
             kwargs["n_series"] = args.n_series
@@ -159,7 +180,9 @@ def _cmd_build(args: argparse.Namespace) -> int:
 
 
 def _cmd_info(args: argparse.Namespace) -> int:
-    index = OnexIndex.load(args.index)
+    from repro.distances.backend import get_backend
+
+    index = _load_index(args.index)
     stats = index.stats()
     print(f"dataset:         {stats.dataset}")
     print(f"series:          {stats.n_series}")
@@ -193,7 +216,7 @@ def _cmd_info(args: argparse.Namespace) -> int:
 
 
 def _cmd_query(args: argparse.Namespace) -> int:
-    index = OnexIndex.load(args.index)
+    index = _load_index(args.index)
     values = _resolve_query_values(index, args)
     if args.within is not None:
         matches = index.within(values, st=args.within, length=args.exact)
@@ -204,14 +227,14 @@ def _cmd_query(args: argparse.Namespace) -> int:
 
 
 def _cmd_seasonal(args: argparse.Namespace) -> int:
-    index = OnexIndex.load(args.index)
+    index = _load_index(args.index)
     result = index.seasonal(args.length, series=args.series)
     _print_seasonal(result)
     return 0
 
 
 def _cmd_recommend(args: argparse.Namespace) -> int:
-    index = OnexIndex.load(args.index)
+    index = _load_index(args.index)
     recs = index.recommend(degree=args.degree, length=args.length)
     scope = "global" if args.length is None else f"length {args.length}"
     print(f"threshold recommendations ({scope}):")
@@ -220,11 +243,12 @@ def _cmd_recommend(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    from repro.serve import OnexService, serve_forever
-
     if args.shards > 1:
         return _cmd_serve_cluster(args)
-    index = OnexIndex.load(args.index)
+    from repro.serve.server import serve_forever
+    from repro.serve.service import OnexService
+
+    index = _load_index(args.index)
     with OnexService(
         index, max_workers=args.workers, cache_size=args.cache_size
     ) as service:
@@ -294,7 +318,10 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 
 
 def _cmd_ql(args: argparse.Namespace) -> int:
-    index = OnexIndex.load(args.index)
+    from repro.core.results import SeasonalResult, ThresholdRecommendation
+    from repro.query.executor import QueryExecutor
+
+    index = _load_index(args.index)
     executor = QueryExecutor(index)
     for spec in args.seq or []:
         name, _, path = spec.partition("=")
@@ -537,6 +564,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.backend is not None:
+            from repro.distances.backend import set_backend
+
             set_backend(args.backend)
         return args.handler(args)
     except OnexError as exc:

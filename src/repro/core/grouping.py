@@ -223,7 +223,9 @@ class RepresentativeSet:
         cross = self.view() @ values
         approx_sq = self._sq_norms[: self._count] - 2.0 * cross + value_sq_norm
         slack = _LB_SLACK * (1.0 + value_sq_norm)
-        candidates = np.flatnonzero(approx_sq <= threshold * threshold + slack)
+        # Runs once per window: ndarray methods skip the np.* wrappers'
+        # ravel and dispatch and return the same arrays.
+        candidates = (approx_sq <= threshold * threshold + slack).nonzero()[0]
         if candidates.size == 0:
             return -1, math.inf
         value_norm = math.sqrt(value_sq_norm)
@@ -233,7 +235,7 @@ class RepresentativeSet:
             return -1, math.inf
         diff = self._matrix[candidates] - values
         distances = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-        best = int(np.argmin(distances))
+        best = int(distances.argmin())
         if distances[best] > threshold:
             return -1, math.inf
         return int(candidates[best]), float(distances[best])

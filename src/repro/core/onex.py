@@ -26,21 +26,17 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from repro.core.grouping import ASSIGN_MODES, GroupBuilder
-from repro.core.parallel import build_shards_parallel, resolve_n_jobs
 from repro.core.query_processor import QueryProcessor
 from repro.core.results import BaseStats, Match, SeasonalResult, ThresholdRecommendation
 from repro.core.rspace import LengthBucket, RSpace
-from repro.core.sizing import measure_rspace
 from repro.core.spspace import SimilarityDegree, SPSpace
-from repro.core.threshold import adapt_bucket
 from repro.data.dataset import Dataset
 from repro.data.normalize import min_max_normalize
 from repro.data.store import SubsequenceStore
 from repro.distances.backend import get_backend
 from repro.distances.dtw import resolve_window
 from repro.exceptions import QueryError, ThresholdError
-from repro.utils.validation import as_float_array, check_lengths
+from repro.utils.validation import as_float_array, check_lengths, resolve_n_jobs
 
 _DEFAULT_N_LENGTHS = 8
 
@@ -174,6 +170,10 @@ class OnexIndex:
             seconds)`` invoked after each length's groups are built
             (drives the CLI's per-length throughput line).
         """
+        # Build-only modules load here, not with the module: a process
+        # that only queries a saved index never pays for them.
+        from repro.core.grouping import ASSIGN_MODES, GroupBuilder
+
         if st <= 0 or not math.isfinite(st):
             raise ThresholdError(st)
         # Validate the window spec now: it is only *used* online, and a
@@ -248,6 +248,8 @@ class OnexIndex:
                 )
                 record(length, groups, time.perf_counter() - length_started)
         elif jobs > 1:
+            from repro.core.parallel import build_shards_parallel
+
             views = {length: store.view(length) for length in grid}
             # Pre-draw every length's visit permutation in grid order:
             # the rng consumption is exactly the sequential loop's, so
@@ -429,6 +431,8 @@ class OnexIndex:
         """
         if st == self.st:
             return self
+        from repro.core.threshold import adapt_bucket
+
         rng = np.random.default_rng(seed)
         buckets = {
             bucket.length: adapt_bucket(bucket, self.dataset, self.st, st, rng)
@@ -456,6 +460,8 @@ class OnexIndex:
     # ------------------------------------------------------------------
     def stats(self) -> BaseStats:
         """Summary statistics (the columns of the paper's Table 4)."""
+        from repro.core.sizing import measure_rspace
+
         breakdown = measure_rspace(self.rspace)
         return BaseStats(
             dataset=self.dataset.name,

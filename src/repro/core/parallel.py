@@ -63,25 +63,6 @@ from repro.exceptions import IndexConstructionError
 RESULT_TRANSPORTS = ("shm", "pickle")
 
 
-def resolve_n_jobs(n_jobs: int | None) -> int:
-    """Normalize an ``n_jobs`` spec to a concrete worker count.
-
-    ``None`` means sequential (1). Negative values count back from the
-    machine: ``-1`` is every core, ``-2`` all but one, and so on.
-    """
-    if n_jobs is None:
-        return 1
-    n_jobs = int(n_jobs)
-    if n_jobs == 0:
-        raise IndexConstructionError(
-            "n_jobs must be >= 1, or negative to count back from the "
-            "core count (-1 = all cores)"
-        )
-    if n_jobs < 0:
-        return max(1, (os.cpu_count() or 1) + 1 + n_jobs)
-    return n_jobs
-
-
 @dataclass
 class ShardResult:
     """One length shard's finalized groups plus its build accounting.

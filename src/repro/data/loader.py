@@ -48,7 +48,11 @@ def load_ucr_file(
     """
     path = os.fspath(path)
     series: list[TimeSeries] = []
-    with open(path, encoding="utf-8") as handle:
+    try:
+        handle = open(path, encoding="utf-8")
+    except OSError as exc:
+        raise DataError(f"cannot read UCR file {path!r}: {exc}") from exc
+    with handle:
         for line_no, raw_line in enumerate(handle, start=1):
             line = raw_line.strip()
             if not line or line.startswith("#"):

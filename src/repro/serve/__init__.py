@@ -9,10 +9,19 @@ length-grouped batch executor (:mod:`repro.serve.batch`);
 ``onex serve`` CLI mode. See ``DESIGN.md`` §9.
 """
 
-from repro.serve.batch import default_workers, execute_batch
-from repro.serve.cache import ResultCache, query_digest
-from repro.serve.server import handle_request, serve_forever, serve_lines
-from repro.serve.service import OnexService
+from repro._lazy import lazy_exports
+
+_HOMES = {
+    "OnexService": "repro.serve.service",
+    "ResultCache": "repro.serve.cache",
+    "default_workers": "repro.serve.batch",
+    "execute_batch": "repro.serve.batch",
+    "handle_request": "repro.serve.server",
+    "query_digest": "repro.serve.cache",
+    "serve_forever": "repro.serve.server",
+    "serve_lines": "repro.serve.server",
+}
+__getattr__, __dir__ = lazy_exports(globals(), _HOMES)
 
 __all__ = [
     "OnexService",

@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import os
 from collections.abc import Sequence
 from typing import Any
 
 import numpy as np
 
-from repro.exceptions import DataError
+from repro.exceptions import DataError, IndexConstructionError
 
 
 def as_float_array(values: Any, name: str = "values") -> np.ndarray:
@@ -67,3 +68,22 @@ def check_lengths(lengths: Sequence[int], max_length: int) -> list[int]:
             f"subsequence length {cleaned[-1]} exceeds the longest series ({max_length})"
         )
     return cleaned
+
+
+def resolve_n_jobs(n_jobs: int | None) -> int:
+    """Normalize an ``n_jobs`` spec to a concrete worker count.
+
+    ``None`` means sequential (1). Negative values count back from the
+    machine: ``-1`` is every core, ``-2`` all but one, and so on.
+    """
+    if n_jobs is None:
+        return 1
+    n_jobs = int(n_jobs)
+    if n_jobs == 0:
+        raise IndexConstructionError(
+            "n_jobs must be >= 1, or negative to count back from the "
+            "core count (-1 = all cores)"
+        )
+    if n_jobs < 0:
+        return max(1, (os.cpu_count() or 1) + 1 + n_jobs)
+    return n_jobs

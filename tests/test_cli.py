@@ -160,6 +160,28 @@ class TestQuery:
         assert "error" in capsys.readouterr().err
 
 
+class TestErrorsNotTracebacks:
+    """Bad input ends in ``error: ...`` and exit 1, never a traceback."""
+
+    @pytest.mark.parametrize("series", ["99", "-1"])
+    def test_query_series_out_of_range(self, index_path, capsys, series):
+        assert main(["query", index_path, "--series", series]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: series index {series} out of range for N=12\n"
+        assert captured.out == ""  # -1 must not wrap around to the last series
+
+    def test_build_unreadable_ucr_file(self, tmp_path, capsys):
+        missing = tmp_path / "missing.ucr"
+        out_path = tmp_path / "x.onex"
+        code = main(["build", "--ucr-file", str(missing), "--out", str(out_path)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read UCR file")
+        assert str(missing) in err
+        assert "Traceback" not in err
+        assert not out_path.exists()
+
+
 class TestSeasonalAndRecommend:
     def test_seasonal(self, index_path, capsys):
         code = main(["seasonal", index_path, "--length", "12", "--series", "1"])

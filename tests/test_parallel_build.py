@@ -13,11 +13,12 @@ import numpy as np
 import pytest
 
 from repro.core.onex import OnexIndex
-from repro.core.parallel import build_shards_parallel, resolve_n_jobs
+from repro.core.parallel import build_shards_parallel
 from repro.data.normalize import min_max_normalize_dataset
 from repro.data.store import SubsequenceStore
 from repro.data.synthetic import make_dataset
 from repro.exceptions import IndexConstructionError, QueryError
+from repro.utils.validation import resolve_n_jobs
 
 LENGTHS = [8, 16, 24, 32]
 
